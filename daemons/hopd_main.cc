@@ -216,14 +216,6 @@ int main(int argc, char** argv) {
   chain_config.parallel = true;
   chain_config.exchange_shards = flags.exchange_shards;
 
-  mixnet::MixServerConfig server_config;
-  server_config.position = flags.position;
-  server_config.chain_length = flags.servers;
-  server_config.conversation_noise = chain_config.conversation_noise;
-  server_config.dialing_noise = chain_config.dialing_noise;
-  server_config.parallel = chain_config.parallel;
-  server_config.exchange_shards = chain_config.exchange_shards;
-
   obs::TraceJournal::Global().SetProcess("hopd-" + std::to_string(flags.position));
   transport::HopDaemonConfig daemon_config;
   daemon_config.port = flags.port;
@@ -231,7 +223,8 @@ int main(int argc, char** argv) {
   daemon_config.metrics_port = flags.metrics_port;
   auto daemon = transport::HopDaemon::Create(
       daemon_config,
-      std::make_unique<mixnet::MixServer>(server_config, key_pair, public_keys, noise_seed));
+      std::make_unique<mixnet::MixServer>(mixnet::ServerConfigFor(chain_config, flags.position),
+                                          key_pair, public_keys, noise_seed));
   if (!daemon) {
     std::fprintf(stderr,
                  "vuvuzela-hopd: cannot listen on port %u (or an exchange partition is "

@@ -71,9 +71,10 @@ std::optional<util::Bytes> OnionOpenResponse(std::span<const AeadKey> layer_keys
 
 // --- Batch-pass primitives --------------------------------------------------
 //
-// The batched mix pass (MixServer with config.batching) is built on these.
-// All of them are byte-identical to the scalar functions above; the
-// conformance suite (tests/batch_pass_test.cc) pins that equivalence down.
+// MixServer's passes are built on these. Each is byte-identical to its
+// scalar counterpart above, which stays as the reference: the conformance
+// suite (tests/batch_pass_test.cc) checks every batch form against it one
+// onion at a time.
 
 // The HKDF context string onion keys are derived under — exposed so a
 // SecretCache can be primed (MixServer::PrimeClientSecrets) with exactly the

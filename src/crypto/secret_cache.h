@@ -23,7 +23,7 @@
 //
 // Threading/ownership: internally sharded (16 shards, one mutex each);
 // Get/Invalidate/GetStats are safe from any number of threads concurrently,
-// including the mix pass's ParallelFor workers. Misses compute the DH outside
+// including the mix pass's pool workers. Misses compute the DH outside
 // the shard lock, so a burst of new clients serializes only on map insertion.
 // The cache owns all entries; returned AeadKeys are copies.
 

@@ -32,6 +32,20 @@ uint64_t RoundStats::total_bytes() const {
   return total;
 }
 
+MixServerConfig ServerConfigFor(const ChainConfig& config, size_t position) {
+  MixServerConfig server_config;
+  server_config.position = position;
+  server_config.chain_length = config.num_servers;
+  server_config.conversation_noise = config.conversation_noise;
+  server_config.dialing_noise = config.dialing_noise;
+  server_config.parallel = config.parallel;
+  server_config.exchange_shards = config.exchange_shards;
+  server_config.mix = std::find(config.non_mixing_positions.begin(),
+                                config.non_mixing_positions.end(),
+                                position) == config.non_mixing_positions.end();
+  return server_config;
+}
+
 Chain Chain::Create(const ChainConfig& config, util::Rng& rng) {
   if (config.num_servers == 0) {
     throw std::invalid_argument("Chain: need at least one server");
@@ -46,20 +60,10 @@ Chain Chain::Create(const ChainConfig& config, util::Rng& rng) {
   }
 
   for (size_t i = 0; i < config.num_servers; ++i) {
-    MixServerConfig server_config;
-    server_config.position = i;
-    server_config.chain_length = config.num_servers;
-    server_config.conversation_noise = config.conversation_noise;
-    server_config.dialing_noise = config.dialing_noise;
-    server_config.parallel = config.parallel;
-    server_config.exchange_shards = config.exchange_shards;
-    server_config.mix = std::find(config.non_mixing_positions.begin(),
-                                  config.non_mixing_positions.end(),
-                                  i) == config.non_mixing_positions.end();
     crypto::ChaCha20Key seed;
     rng.Fill(seed);
-    chain.servers_.push_back(
-        std::make_unique<MixServer>(server_config, key_pairs[i], chain.public_keys_, seed));
+    chain.servers_.push_back(std::make_unique<MixServer>(ServerConfigFor(config, i), key_pairs[i],
+                                                         chain.public_keys_, seed));
   }
   return chain;
 }

@@ -55,6 +55,10 @@ struct ChainConfig {
   std::vector<size_t> non_mixing_positions;
 };
 
+// The MixServerConfig for the server at `position` of a chain built from
+// `config`: the one place chain-wide settings map onto a single server.
+MixServerConfig ServerConfigFor(const ChainConfig& config, size_t position);
+
 struct RoundStats {
   std::vector<ServerRoundStats> forward;   // one per server
   std::vector<ServerRoundStats> backward;  // one per non-last server (conversation only)

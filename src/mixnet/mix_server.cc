@@ -19,6 +19,11 @@ constexpr uint8_t kRngLastConversation = 3;
 constexpr uint8_t kRngForwardDialing = 4;
 constexpr uint8_t kRngLastDialing = 5;
 
+// Onions per block: the work-stealing unit of ParallelForBlocks and the reuse
+// scope for per-block scratch. Blocks only schedule work, so any value yields
+// identical bytes.
+constexpr size_t kBatchBlock = 64;
+
 // Builds the fixed-size plaintext of one fake exchange request (Algorithm 2
 // step 2): a random dead-drop ID and a random envelope. Random bytes are
 // indistinguishable from real AEAD ciphertext.
@@ -31,6 +36,15 @@ wire::ExchangeRequest FakeExchange(util::Rng& rng) {
 
 std::vector<util::ByteSpan> ViewsOf(const std::vector<util::Bytes>& items) {
   return std::vector<util::ByteSpan>(items.begin(), items.end());
+}
+
+template <typename Items>
+uint64_t TotalBytes(const Items& items) {
+  uint64_t total = 0;
+  for (const auto& item : items) {
+    total += item.size();
+  }
+  return total;
 }
 
 }  // namespace
@@ -48,20 +62,18 @@ MixServer::MixServer(const MixServerConfig& config, crypto::X25519KeyPair key_pa
   if (chain_public_keys_.size() != config_.chain_length) {
     throw std::invalid_argument("MixServer: chain key count mismatch");
   }
-  if (config_.batching) {
-    // Comb tables for the downstream servers' static keys: one-time cost per
-    // key ceremony, a ~3x cheaper DH per noise-onion layer every round after.
-    std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
-    suffix_tables_.reserve(suffix.size());
-    for (const crypto::X25519PublicKey& pk : suffix) {
-      std::optional<crypto::X25519Precomp> table = crypto::X25519Precomp::Create(pk);
-      if (!table) {
-        // A non-curve key cannot be lifted; wrap with the ladder instead.
-        suffix_tables_.clear();
-        break;
-      }
-      suffix_tables_.push_back(std::move(*table));
+  // Comb tables for the downstream servers' static keys: one-time cost per
+  // key ceremony, a ~3x cheaper DH per noise-onion layer every round after.
+  std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
+  suffix_tables_.reserve(suffix.size());
+  for (const crypto::X25519PublicKey& pk : suffix) {
+    std::optional<crypto::X25519Precomp> table = crypto::X25519Precomp::Create(pk);
+    if (!table) {
+      // A non-curve key cannot be lifted; wrap with the ladder instead.
+      suffix_tables_.clear();
+      break;
     }
+    suffix_tables_.push_back(std::move(*table));
   }
 }
 
@@ -72,15 +84,19 @@ void MixServer::RotateKey(const crypto::X25519KeyPair& key_pair) {
 }
 
 void MixServer::PrimeClientSecrets(std::span<const crypto::X25519PublicKey> client_pks) {
-  auto prime_one = [&](size_t i) {
-    secret_cache_.Get(key_pair_.secret_key, client_pks[i], crypto::OnionContext());
-  };
-  if (config_.parallel) {
-    util::GlobalPool().ParallelFor(client_pks.size(), prime_one);
-  } else {
-    for (size_t i = 0; i < client_pks.size(); ++i) {
-      prime_one(i);
+  ForBlocks(client_pks.size(), kBatchBlock, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      secret_cache_.Get(key_pair_.secret_key, client_pks[i], crypto::OnionContext());
     }
+  });
+}
+
+void MixServer::ForBlocks(size_t n, size_t block,
+                          const std::function<void(size_t, size_t)>& fn) const {
+  if (config_.parallel) {
+    util::GlobalPool().ParallelForBlocks(n, block, fn);
+  } else if (n > 0) {
+    fn(0, n);
   }
 }
 
@@ -114,47 +130,22 @@ MixServer::UnwrapBatchResult MixServer::UnwrapBatch(uint64_t round,
   std::vector<crypto::AeadKey> keys(n);
   std::vector<uint8_t> ok(n, 0);  // uint8_t: distinct indices written concurrently
 
-  if (config_.batching) {
-    // Block path: each worker owns a contiguous run of onions, the output
-    // buffer for each is allocated once at its final size, and shared-secret
-    // derivation goes through the cross-round cache.
-    auto unwrap_block = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        util::ByteSpan layer = batch[i];
-        if (layer.size() < crypto::kOnionRequestLayerOverhead) {
-          continue;
-        }
-        inners[i].resize(layer.size() - crypto::kOnionRequestLayerOverhead);
-        ok[i] = crypto::OnionUnwrapLayerInto(key_pair_.secret_key, &secret_cache_, round, layer,
-                                             inners[i], keys[i])
-                    ? 1
-                    : 0;
+  // Each block owns a contiguous run of onions, the output buffer for each is
+  // allocated once at its final size, and shared-secret derivation goes
+  // through the cross-round cache.
+  ForBlocks(n, kBatchBlock, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      util::ByteSpan layer = batch[i];
+      if (layer.size() < crypto::kOnionRequestLayerOverhead) {
+        continue;
       }
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelForBlocks(n, config_.batch_block, unwrap_block);
-    } else {
-      unwrap_block(0, n);
+      inners[i].resize(layer.size() - crypto::kOnionRequestLayerOverhead);
+      ok[i] = crypto::OnionUnwrapLayerInto(key_pair_.secret_key, &secret_cache_, round, layer,
+                                           inners[i], keys[i])
+                  ? 1
+                  : 0;
     }
-  } else {
-    // Scalar reference path: one DH per onion, no cache, per-index fan-out.
-    auto unwrap_one = [&](size_t i) {
-      std::optional<crypto::UnwrappedLayer> result =
-          crypto::OnionUnwrapLayer(key_pair_.secret_key, round, batch[i]);
-      if (result) {
-        inners[i] = std::move(result->inner);
-        keys[i] = result->response_key;
-        ok[i] = 1;
-      }
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelFor(n, unwrap_one);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        unwrap_one(i);
-      }
-    }
-  }
+  });
 
   UnwrapBatchResult result;
   result.inners.reserve(n);
@@ -172,6 +163,70 @@ MixServer::UnwrapBatchResult MixServer::UnwrapBatch(uint64_t round,
   return result;
 }
 
+std::vector<util::Bytes> MixServer::WrapNoise(uint64_t round,
+                                              const std::vector<util::Bytes>& payloads,
+                                              crypto::ChaChaRng& rng) const {
+  // Each onion gets an independent DRBG seeded from the round RNG in order
+  // (ChaChaRng is not thread-safe), so the fan-out cannot change a byte.
+  std::vector<crypto::ChaCha20Key> seeds(payloads.size());
+  for (auto& seed : seeds) {
+    rng.Fill(seed);
+  }
+  std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
+  const bool precomp = suffix_tables_.size() == suffix.size();
+  std::vector<util::Bytes> onions(payloads.size());
+  // One onion per block: a round's noise is often less than one kBatchBlock,
+  // and each onion costs a DH per downstream hop, so coarser blocks would
+  // serialise the wrap onto a few workers.
+  ForBlocks(payloads.size(), /*block=*/1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      crypto::ChaChaRng task_rng(seeds[i]);
+      onions[i] = precomp
+                      ? crypto::OnionWrapPrecomp(suffix_tables_, round, payloads[i], task_rng).data
+                      : crypto::OnionWrap(suffix, round, payloads[i], task_rng).data;
+    }
+  });
+  return onions;
+}
+
+std::vector<util::Bytes> MixServer::CombineAndShuffle(std::vector<util::Bytes> inners,
+                                                      std::vector<util::Bytes> noise,
+                                                      crypto::ChaChaRng& rng,
+                                                      std::vector<uint32_t>* perm_out) const {
+  inners.reserve(inners.size() + noise.size());
+  for (auto& onion : noise) {
+    inners.push_back(std::move(onion));
+  }
+  Permutation perm = config_.mix ? Permutation::Random(inners.size(), rng)
+                                 : Permutation::Identity(inners.size());
+  if (perm_out != nullptr) {
+    *perm_out = perm.indices();
+  }
+  return perm.Apply(std::move(inners));
+}
+
+void MixServer::SealResponses(uint64_t round, std::span<const util::ByteSpan> responses,
+                              std::span<const uint32_t> slots,
+                              std::span<const crypto::AeadKey> keys, size_t response_size,
+                              crypto::ChaChaRng& rng, std::vector<util::Bytes>& out) const {
+  const size_t sealed_size = response_size + crypto::kOnionResponseLayerOverhead;
+  ForBlocks(responses.size(), kBatchBlock, [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      util::Bytes& slot = out[slots[j]];
+      slot.resize(sealed_size);
+      crypto::OnionSealResponseInto(keys[j], round, responses[j], slot);
+    }
+  });
+  // Requests dropped on the forward pass still owe the previous hop a
+  // response slot; random bytes of the sealed size are indistinguishable
+  // from a sealed response.
+  for (auto& slot : out) {
+    if (slot.empty()) {
+      slot = rng.RandomBytes(sealed_size);
+    }
+  }
+}
+
 std::vector<util::Bytes> MixServer::ForwardConversation(uint64_t round,
                                                         std::vector<util::Bytes> batch,
                                                         ServerRoundStats* stats) {
@@ -187,9 +242,7 @@ std::vector<util::Bytes> MixServer::ForwardConversation(uint64_t round,
   }
   ServerRoundStats local;
   local.requests_in = batch.size();
-  for (const auto& b : batch) {
-    local.bytes_in += b.size();
-  }
+  local.bytes_in = TotalBytes(batch);
 
   UnwrapBatchResult unwrapped = UnwrapBatch(round, batch);
   local.requests_dropped = unwrapped.dropped;
@@ -207,9 +260,8 @@ std::vector<util::Bytes> MixServer::ForwardConversation(uint64_t round,
   // so a retried or replayed round reproduces the identical pass.
   crypto::ChaChaRng rng = RoundRng(kRngForwardConversation, round);
   noise::ConversationNoisePlan plan = PlanConversationNoise(config_.conversation_noise, rng);
-  size_t noise_items = plan.singles + 2 * plan.pairs;
   std::vector<util::Bytes> noise_payloads;
-  noise_payloads.reserve(noise_items);
+  noise_payloads.reserve(plan.singles + 2 * plan.pairs);
   for (uint64_t i = 0; i < plan.singles; ++i) {
     noise_payloads.push_back(FakeExchange(rng).Serialize());
   }
@@ -220,48 +272,14 @@ std::vector<util::Bytes> MixServer::ForwardConversation(uint64_t round,
     noise_payloads.push_back(first.Serialize());
     noise_payloads.push_back(second.Serialize());
   }
-
-  // Wrap noise in parallel; each task gets an independent DRBG seeded from
-  // the server's RNG (ChaChaRng is not thread-safe).
-  std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
-  std::vector<crypto::ChaCha20Key> seeds(noise_payloads.size());
-  for (auto& seed : seeds) {
-    rng.Fill(seed);
-  }
-  std::vector<util::Bytes> noise_onions(noise_payloads.size());
-  const bool precomp_wrap = config_.batching && suffix_tables_.size() == suffix.size();
-  auto wrap_one = [&](size_t i) {
-    crypto::ChaChaRng task_rng(seeds[i]);
-    noise_onions[i] =
-        precomp_wrap
-            ? crypto::OnionWrapPrecomp(suffix_tables_, round, noise_payloads[i], task_rng).data
-            : crypto::OnionWrap(suffix, round, noise_payloads[i], task_rng).data;
-  };
-  if (config_.parallel) {
-    util::GlobalPool().ParallelFor(noise_onions.size(), wrap_one);
-  } else {
-    for (size_t i = 0; i < noise_onions.size(); ++i) {
-      wrap_one(i);
-    }
-  }
+  std::vector<util::Bytes> noise_onions = WrapNoise(round, noise_payloads, rng);
   local.noise_requests_added = noise_onions.size();
-  local.dh_ops += noise_onions.size() * suffix.size();
+  local.dh_ops += noise_onions.size() * ChainSuffix().size();
   state.noise_count = noise_onions.size();
 
-  std::vector<util::Bytes> combined = std::move(unwrapped.inners);
-  combined.reserve(combined.size() + noise_onions.size());
-  for (auto& onion : noise_onions) {
-    combined.push_back(std::move(onion));
-  }
-
-  Permutation perm = config_.mix ? Permutation::Random(combined.size(), rng)
-                                 : Permutation::Identity(combined.size());
-  state.perm = perm.indices();
-  std::vector<util::Bytes> out = perm.Apply(std::move(combined));
-
-  for (const auto& b : out) {
-    local.bytes_out += b.size();
-  }
+  std::vector<util::Bytes> out =
+      CombineAndShuffle(std::move(unwrapped.inners), std::move(noise_onions), rng, &state.perm);
+  local.bytes_out = TotalBytes(out);
   rounds_[round] = std::move(state);
   if (stats) {
     *stats = local;
@@ -289,68 +307,38 @@ std::vector<util::Bytes> MixServer::BackwardConversation(uint64_t round,
   if (responses.size() != state.perm.size()) {
     throw std::invalid_argument("BackwardConversation: response count mismatch");
   }
+  // Responses are fixed-size. A downstream hop that returned one of
+  // a different length would, once relayed, let a network observer pick out
+  // the client receiving it; refuse the batch before sealing anything.
+  for (const util::ByteSpan& response : responses) {
+    if (response.size() != state.response_size_in) {
+      throw std::invalid_argument("BackwardConversation: response size mismatch");
+    }
+  }
   ServerRoundStats local;
   local.requests_in = responses.size();
-  for (const auto& r : responses) {
-    local.bytes_in += r.size();
-  }
+  local.bytes_in = TotalBytes(responses);
 
   // Instead of materializing the unshuffled batch, invert the permutation:
-  // valid slot j's response sits at input position pos_of[j]. Positions
-  // >= num_valid are our own noise responses and are simply never read.
+  // valid slot j's response sits at input position k with perm[k] == j.
+  // Positions mapping past the valid requests are our own noise responses
+  // and are simply never read.
   size_t num_valid = state.orig_index.size();
-  std::vector<uint32_t> pos_of(num_valid);
+  std::vector<util::ByteSpan> ordered(num_valid);
   for (size_t k = 0; k < state.perm.size(); ++k) {
     if (state.perm[k] < num_valid) {
-      pos_of[state.perm[k]] = static_cast<uint32_t>(k);
+      ordered[state.perm[k]] = responses[k];
     }
   }
 
   // Seal each response with the key retained on the forward pass and place
   // it at the position the previous hop expects.
   std::vector<util::Bytes> out(state.input_size);
-  if (config_.batching) {
-    auto seal_block = [&](size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        util::ByteSpan resp = responses[pos_of[j]];
-        util::Bytes& slot = out[state.orig_index[j]];
-        slot.resize(resp.size() + crypto::kOnionResponseLayerOverhead);
-        crypto::OnionSealResponseInto(state.response_keys[j], round, resp, slot);
-      }
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelForBlocks(num_valid, config_.batch_block, seal_block);
-    } else {
-      seal_block(0, num_valid);
-    }
-  } else {
-    auto seal_one = [&](size_t j) {
-      out[state.orig_index[j]] =
-          crypto::OnionSealResponse(state.response_keys[j], round, responses[pos_of[j]]);
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelFor(num_valid, seal_one);
-    } else {
-      for (size_t j = 0; j < num_valid; ++j) {
-        seal_one(j);
-      }
-    }
-  }
-
-  // Requests this server dropped on the forward pass still owe the previous
-  // hop a response slot; synthesize random bytes of the correct size
-  // (indistinguishable from a sealed response).
   crypto::ChaChaRng rng = RoundRng(kRngBackwardConversation, round);
-  size_t out_size = state.response_size_in + crypto::kOnionResponseLayerOverhead;
-  for (auto& slot : out) {
-    if (slot.empty()) {
-      slot = rng.RandomBytes(out_size);
-    }
-  }
+  SealResponses(round, ordered, state.orig_index, state.response_keys, state.response_size_in,
+                rng, out);
 
-  for (const auto& r : out) {
-    local.bytes_out += r.size();
-  }
+  local.bytes_out = TotalBytes(out);
   if (stats) {
     *stats = local;
   }
@@ -371,9 +359,7 @@ MixServer::LastServerResult MixServer::ProcessConversationLastHop(
   }
   ServerRoundStats local;
   local.requests_in = batch.size();
-  for (const auto& b : batch) {
-    local.bytes_in += b.size();
-  }
+  local.bytes_in = TotalBytes(batch);
 
   UnwrapBatchResult unwrapped = UnwrapBatch(round, batch);
   local.dh_ops += batch.size();
@@ -412,44 +398,11 @@ MixServer::LastServerResult MixServer::ProcessConversationLastHop(
   result.histogram = outcome.histogram;
   result.messages_exchanged = outcome.messages_exchanged;
   result.responses.resize(batch.size());
-  if (config_.batching) {
-    auto seal_block = [&](size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        util::ByteSpan resp = outcome.results[j];
-        util::Bytes& slot = result.responses[orig_index[j]];
-        slot.resize(resp.size() + crypto::kOnionResponseLayerOverhead);
-        crypto::OnionSealResponseInto(keys[j], round, resp, slot);
-      }
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelForBlocks(requests.size(), config_.batch_block, seal_block);
-    } else {
-      seal_block(0, requests.size());
-    }
-  } else {
-    auto seal_one = [&](size_t j) {
-      result.responses[orig_index[j]] =
-          crypto::OnionSealResponse(keys[j], round, outcome.results[j]);
-    };
-    if (config_.parallel) {
-      util::GlobalPool().ParallelFor(requests.size(), seal_one);
-    } else {
-      for (size_t j = 0; j < requests.size(); ++j) {
-        seal_one(j);
-      }
-    }
-  }
+  std::vector<util::ByteSpan> envelopes(outcome.results.begin(), outcome.results.end());
   crypto::ChaChaRng rng = RoundRng(kRngLastConversation, round);
-  size_t response_size = wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead;
-  for (auto& slot : result.responses) {
-    if (slot.empty()) {
-      slot = rng.RandomBytes(response_size);
-    }
-  }
+  SealResponses(round, envelopes, orig_index, keys, wire::kEnvelopeSize, rng, result.responses);
 
-  for (const auto& r : result.responses) {
-    local.bytes_out += r.size();
-  }
+  local.bytes_out = TotalBytes(result.responses);
   if (stats) {
     *stats = local;
   }
@@ -470,9 +423,7 @@ std::vector<util::Bytes> MixServer::ForwardDialing(uint64_t round,
   }
   ServerRoundStats local;
   local.requests_in = batch.size();
-  for (const auto& b : batch) {
-    local.bytes_in += b.size();
-  }
+  local.bytes_in = TotalBytes(batch);
 
   UnwrapBatchResult unwrapped = UnwrapBatch(round, batch);
   local.requests_dropped = unwrapped.dropped;
@@ -490,42 +441,13 @@ std::vector<util::Bytes> MixServer::ForwardDialing(uint64_t round,
       noise_payloads.push_back(fake.Serialize());
     }
   }
-  std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
-  std::vector<crypto::ChaCha20Key> seeds(noise_payloads.size());
-  for (auto& seed : seeds) {
-    rng.Fill(seed);
-  }
-  std::vector<util::Bytes> noise_onions(noise_payloads.size());
-  const bool precomp_wrap = config_.batching && suffix_tables_.size() == suffix.size();
-  auto wrap_one = [&](size_t i) {
-    crypto::ChaChaRng task_rng(seeds[i]);
-    noise_onions[i] =
-        precomp_wrap
-            ? crypto::OnionWrapPrecomp(suffix_tables_, round, noise_payloads[i], task_rng).data
-            : crypto::OnionWrap(suffix, round, noise_payloads[i], task_rng).data;
-  };
-  if (config_.parallel) {
-    util::GlobalPool().ParallelFor(noise_onions.size(), wrap_one);
-  } else {
-    for (size_t i = 0; i < noise_onions.size(); ++i) {
-      wrap_one(i);
-    }
-  }
+  std::vector<util::Bytes> noise_onions = WrapNoise(round, noise_payloads, rng);
   local.noise_requests_added = noise_onions.size();
-  local.dh_ops += noise_onions.size() * suffix.size();
+  local.dh_ops += noise_onions.size() * ChainSuffix().size();
 
-  std::vector<util::Bytes> combined = std::move(unwrapped.inners);
-  combined.reserve(combined.size() + noise_onions.size());
-  for (auto& onion : noise_onions) {
-    combined.push_back(std::move(onion));
-  }
-  Permutation perm = config_.mix ? Permutation::Random(combined.size(), rng)
-                                 : Permutation::Identity(combined.size());
-  std::vector<util::Bytes> out = perm.Apply(std::move(combined));
-
-  for (const auto& b : out) {
-    local.bytes_out += b.size();
-  }
+  std::vector<util::Bytes> out =
+      CombineAndShuffle(std::move(unwrapped.inners), std::move(noise_onions), rng, nullptr);
+  local.bytes_out = TotalBytes(out);
   if (stats) {
     *stats = local;
   }
@@ -562,9 +484,7 @@ deaddrop::InvitationTable MixServer::ProcessDialingLastHop(uint64_t round,
   }
   ServerRoundStats local;
   local.requests_in = batch.size();
-  for (const auto& b : batch) {
-    local.bytes_in += b.size();
-  }
+  local.bytes_in = TotalBytes(batch);
 
   UnwrapBatchResult unwrapped = UnwrapBatch(round, batch);
   local.dh_ops += batch.size();

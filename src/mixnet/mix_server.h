@@ -19,16 +19,17 @@
 // it processed before the crash — which is what lets the round engine retry a
 // crashed round and get output byte-identical to an uninterrupted run.
 //
-// Batched hot path: with MixServerConfig::batching (the default), onions are
-// processed in cache-friendly blocks over ThreadPool::ParallelForBlocks with
-// preallocated per-slot output buffers (no per-onion intermediate
-// allocation), per-client shared secrets are cached across rounds in a
-// SecretCache (the round number only enters the AEAD nonce, so a hit cannot
-// change any output byte), and noise onions are wrapped against precomputed
-// comb tables for the chain suffix's static keys. All of it is byte-identical
-// to the scalar reference path (batching = false), which the conformance
-// suite pins down; the determinism contract above is what makes that
-// provable rather than statistical.
+// Hot path: every pass has one implementation. Onions are processed in
+// fixed 64-onion blocks over ThreadPool::ParallelForBlocks, each output
+// buffer allocated once at its final size; per-client shared secrets are
+// cached across rounds in a SecretCache (the round number only enters the
+// AEAD nonce, so a hit cannot change any output byte); and noise onions are
+// wrapped against precomputed comb tables for the chain suffix's static keys.
+// The per-onion crypto primitives these are built from (OnionUnwrapLayer,
+// OnionSealResponse, OnionWrap) are the reference the batch forms are tested
+// against, and golden digests of whole rounds pin the pass bytes
+// (tests/batch_pass_test.cc); the determinism contract above is what makes
+// that provable rather than statistical.
 //
 // Threading/ownership: one MixServer runs one pass at a time — callers
 // serialize passes (the hop daemon's connection loop and the chain driver
@@ -41,6 +42,7 @@
 #define VUVUZELA_SRC_MIXNET_MIX_SERVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -66,8 +68,8 @@ struct MixServerConfig {
   size_t chain_length = 1;
   noise::NoiseConfig conversation_noise;
   noise::NoiseConfig dialing_noise;
-  // When false, skips ParallelFor and processes requests on the calling
-  // thread (deterministic ordering for tests).
+  // When false, every pass runs on the calling thread as one block
+  // (deterministic ordering for tests); output bytes are the same either way.
   bool parallel = true;
   // Shards for the last server's dead-drop exchange (partitioned by ID
   // prefix; byte-identical outcome for any value). 0 means one shard per
@@ -76,15 +78,6 @@ struct MixServerConfig {
   // A server under adversarial control may skip mixing; tests use this to
   // model compromise (§4.2 attack scenarios). Honest servers always mix.
   bool mix = true;
-  // Batched hot path: per-client shared-secret cache, block processing with
-  // per-block scratch, and precomputed-table DH for noise wrapping. Output is
-  // byte-identical to the scalar path (tests/batch_pass_test.cc pins it);
-  // `false` selects the original per-onion reference implementation.
-  bool batching = true;
-  // Onions per block on the batched path. Blocks are the work-stealing unit
-  // of ParallelForBlocks and the reuse scope for scratch state; any value
-  // yields identical bytes.
-  size_t batch_block = 64;
 };
 
 // Per-round, per-server counters surfaced to benches (Figures 9-11, §8.2
@@ -233,6 +226,29 @@ class MixServer {
   };
   UnwrapBatchResult UnwrapBatch(uint64_t round, std::span<const util::ByteSpan> batch);
 
+  // The one fan-out every pass uses: fn(begin, end) over blocks of `block`
+  // indices on util::GlobalPool() when config.parallel, else fn(0, n) on the
+  // calling thread.
+  void ForBlocks(size_t n, size_t block, const std::function<void(size_t, size_t)>& fn) const;
+  // Onion-wraps cover-traffic payloads for the chain suffix, drawing one
+  // per-onion DRBG seed from `rng` each (Algorithm 2 step 2).
+  std::vector<util::Bytes> WrapNoise(uint64_t round, const std::vector<util::Bytes>& payloads,
+                                     crypto::ChaChaRng& rng) const;
+  // Appends `noise` to `inners` and shuffles the lot with `rng` (identity on a
+  // non-mixing server); the permutation goes to `perm_out` when non-null.
+  std::vector<util::Bytes> CombineAndShuffle(std::vector<util::Bytes> inners,
+                                             std::vector<util::Bytes> noise,
+                                             crypto::ChaChaRng& rng,
+                                             std::vector<uint32_t>* perm_out) const;
+  // Seals responses[j] (each `response_size` bytes) under keys[j] into
+  // out[slots[j]] (Algorithm 2 step 4), then fills every slot still empty —
+  // requests dropped on the forward pass — with random bytes from `rng` of
+  // the sealed size.
+  void SealResponses(uint64_t round, std::span<const util::ByteSpan> responses,
+                     std::span<const uint32_t> slots, std::span<const crypto::AeadKey> keys,
+                     size_t response_size, crypto::ChaChaRng& rng,
+                     std::vector<util::Bytes>& out) const;
+
   std::span<const crypto::X25519PublicKey> ChainSuffix() const;
   size_t ResponseSizeFromNextHop() const;
   // Derives the per-(round, pass) RNG; `pass` is a domain-separation label so
@@ -245,11 +261,11 @@ class MixServer {
   crypto::ChaCha20Key rng_seed_;
   std::unordered_map<uint64_t, RoundState> rounds_;
   deaddrop::ExchangeBackend* exchange_backend_ = nullptr;
-  // Derived-key cache for the batched unwrap path; invalidated by RotateKey.
+  // Derived-key cache for the unwrap pass; invalidated by RotateKey.
   crypto::SecretCache secret_cache_;
   // Comb tables for the chain suffix's public keys (noise-wrap fast path).
-  // Empty when batching is off or any suffix key failed to lift (fall back
-  // to the ladder); otherwise aligned with ChainSuffix().
+  // Empty when any suffix key failed to lift (fall back to the ladder);
+  // otherwise aligned with ChainSuffix().
   std::vector<crypto::X25519Precomp> suffix_tables_;
 };
 

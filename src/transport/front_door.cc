@@ -1,5 +1,6 @@
 #include "src/transport/front_door.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string_view>
 #include <utility>
@@ -111,8 +112,10 @@ void FrontDoor::HandleFrame(net::EventLoop::ConnId id, net::Frame&& frame) {
     {
       std::lock_guard<std::mutex> lock(fetch_mutex_);
       fetch_queue_.push_back(FetchJob{index, frame.round, std::move(frame.payload)});
+      ++fetches_enqueued_;
     }
     fetch_cv_.notify_one();
+    fetch_idle_cv_.notify_all();
     return;
   }
   if (handlers_.on_frame) {
@@ -190,6 +193,29 @@ void FrontDoor::CloseClients(const net::Frame& frame, int grace_ms) {
   if (!loop_) {
     return;
   }
+  {
+    // A fetch reply is posted to the loop when its job finishes, and a
+    // client that just got its round's ack may still have a fetch on the
+    // wire. Let every fetch post its reply first — one behind the shutdown
+    // frame is never read by a departing client — and call the fetch path
+    // drained once it stays idle for a settle period (within `grace_ms`).
+    constexpr auto kFetchSettle = std::chrono::milliseconds(50);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(grace_ms);
+    auto idle = [this] { return fetch_queue_.empty() && !fetch_running_; };
+    std::unique_lock<std::mutex> lock(fetch_mutex_);
+    for (;;) {
+      if (!fetch_idle_cv_.wait_until(lock, deadline, idle)) {
+        break;
+      }
+      const uint64_t seen = fetches_enqueued_;
+      auto settle = std::min(deadline, std::chrono::steady_clock::now() + kFetchSettle);
+      if (!fetch_idle_cv_.wait_until(lock, settle,
+                                     [&] { return fetches_enqueued_ != seen; })) {
+        break;
+      }
+    }
+  }
   Broadcast(frame);
   {
     std::unique_lock<std::mutex> lock(clients_mutex_);
@@ -216,12 +242,17 @@ void FrontDoor::FetchWorker() {
       }
       job = std::move(fetch_queue_.front());
       fetch_queue_.pop_front();
+      fetch_running_ = true;
     }
-    if (!handlers_.on_fetch) {
-      continue;
+    if (handlers_.on_fetch) {
+      net::Frame reply = handlers_.on_fetch(job.client, job.round, std::move(job.payload));
+      Send(job.client, std::move(reply));
     }
-    net::Frame reply = handlers_.on_fetch(job.client, job.round, std::move(job.payload));
-    Send(job.client, std::move(reply));
+    {
+      std::lock_guard<std::mutex> lock(fetch_mutex_);
+      fetch_running_ = false;
+    }
+    fetch_idle_cv_.notify_all();
   }
 }
 

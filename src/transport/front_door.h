@@ -119,8 +119,11 @@ class FrontDoor {
   // that announced kShutdown is deregistering). Thread-safe.
   void Disconnect(size_t client);
 
-  // Broadcasts `frame` (typically kShutdown), gives clients up to
-  // `grace_ms` to hang up on their own, then closes the stragglers.
+  // Waits (up to `grace_ms`) until the fetch path has posted every reply and
+  // then stayed idle for a short settle period, so fetches already on the
+  // wire are answered first; broadcasts `frame` (typically kShutdown) behind
+  // them, gives clients up to `grace_ms` to hang up on their own, then
+  // closes the stragglers.
   // Thread-safe; call before Shutdown() for an orderly cascade.
   void CloseClients(const net::Frame& frame, int grace_ms);
 
@@ -167,6 +170,10 @@ class FrontDoor {
   std::mutex fetch_mutex_;
   std::condition_variable fetch_cv_;
   std::deque<FetchJob> fetch_queue_;
+  bool fetch_running_ = false;  // a popped job has not posted its reply yet
+  uint64_t fetches_enqueued_ = 0;
+  // Signalled when a fetch is queued or finishes (CloseClients drains on it).
+  std::condition_variable fetch_idle_cv_;
   bool fetch_stop_ = false;
 };
 

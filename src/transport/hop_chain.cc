@@ -1,7 +1,5 @@
 #include "src/transport/hop_chain.h"
 
-#include <algorithm>
-
 #include "src/util/random.h"
 
 namespace vuvuzela::transport {
@@ -26,17 +24,8 @@ ChainKeyMaterial DeriveChainKeys(uint64_t seed, size_t num_servers) {
 
 std::unique_ptr<mixnet::MixServer> BuildMixServer(const mixnet::ChainConfig& config,
                                                   const ChainKeyMaterial& keys, size_t position) {
-  mixnet::MixServerConfig server_config;
-  server_config.position = position;
-  server_config.chain_length = keys.key_pairs.size();
-  server_config.conversation_noise = config.conversation_noise;
-  server_config.dialing_noise = config.dialing_noise;
-  server_config.parallel = config.parallel;
-  server_config.exchange_shards = config.exchange_shards;
-  server_config.mix = std::find(config.non_mixing_positions.begin(),
-                                config.non_mixing_positions.end(),
-                                position) == config.non_mixing_positions.end();
-  return std::make_unique<mixnet::MixServer>(server_config, keys.key_pairs[position],
+  return std::make_unique<mixnet::MixServer>(mixnet::ServerConfigFor(config, position),
+                                             keys.key_pairs[position],
                                              keys.public_keys, keys.rng_seeds[position]);
 }
 

@@ -45,7 +45,8 @@ struct ChainKeyMaterial {
 ChainKeyMaterial DeriveChainKeys(uint64_t seed, size_t num_servers);
 
 // Builds the MixServer for `position` of a chain with the given key material
-// and shared noise configuration (mirrors mixnet::Chain::Create).
+// and mixnet::ServerConfigFor(config, position), as mixnet::Chain::Create
+// does; config.num_servers must match the key material.
 std::unique_ptr<mixnet::MixServer> BuildMixServer(const mixnet::ChainConfig& config,
                                                   const ChainKeyMaterial& keys, size_t position);
 

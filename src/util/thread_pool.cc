@@ -54,71 +54,21 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) {
     return;
   }
-  size_t shards = std::min(n, threads_.size() * 4);
-  if (shards <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
+  // About four blocks per worker balances uneven iterations. The flag stops
+  // the other in-flight blocks at their next index once one iteration
+  // throws, not just at their next block.
+  size_t per_block = (n + 4 * threads_.size() - 1) / (4 * threads_.size());
+  std::atomic<bool> failed{false};
+  ParallelForBlocks(n, per_block, [&](size_t begin, size_t end) {
+    try {
+      for (size_t i = begin; i < end && !failed.load(); ++i) {
+        fn(i);
+      }
+    } catch (...) {
+      failed.store(true);
+      throw;
     }
-    return;
-  }
-
-  struct Shared {
-    std::atomic<size_t> next_shard{0};
-    std::atomic<size_t> done{0};
-    std::atomic<bool> cancelled{false};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-  };
-  auto shared = std::make_shared<Shared>();
-  size_t chunk = (n + shards - 1) / shards;
-
-  auto worker = [shared, chunk, n, shards, &fn]() {
-    for (;;) {
-      size_t shard = shared->next_shard.fetch_add(1);
-      if (shard >= shards) {
-        break;
-      }
-      size_t begin = shard * chunk;
-      size_t end = std::min(n, begin + chunk);
-      try {
-        for (size_t i = begin; i < end; ++i) {
-          // After any shard throws, the batch's result is the exception;
-          // grinding through the rest only wastes cycles, so bail out.
-          if (shared->cancelled.load(std::memory_order_relaxed)) {
-            break;
-          }
-          fn(i);
-        }
-      } catch (...) {
-        shared->cancelled.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(shared->error_mutex);
-        if (!shared->error) {
-          shared->error = std::current_exception();
-        }
-      }
-      size_t done = shared->done.fetch_add(1) + 1;
-      if (done == shards) {
-        std::lock_guard<std::mutex> lock(shared->done_mutex);
-        shared->done_cv.notify_all();
-      }
-    }
-  };
-
-  // The calling thread participates too, so ParallelFor works even when called
-  // from inside another pool task.
-  size_t helpers = std::min(shards - 1, threads_.size());
-  for (size_t i = 0; i < helpers; ++i) {
-    Submit(worker);
-  }
-  worker();
-
-  std::unique_lock<std::mutex> lock(shared->done_mutex);
-  shared->done_cv.wait(lock, [&] { return shared->done.load() == shards; });
-  if (shared->error) {
-    std::rethrow_exception(shared->error);
-  }
+  });
 }
 
 void ThreadPool::ParallelForBlocks(size_t n, size_t block,
@@ -150,9 +100,9 @@ void ThreadPool::ParallelForBlocks(size_t n, size_t block,
 
   // Completion is counted per *block*, and the calling thread participates
   // and claims blocks until the supply runs dry — so the wait below finishes
-  // even if every queued helper is scheduled late (or never), exactly like
-  // ParallelFor. After a block throws, remaining blocks are claimed but
-  // skipped so the count still converges.
+  // even if every queued helper is scheduled late (or never), which is also
+  // what makes a call from inside a pool task safe. After a block throws,
+  // remaining blocks are claimed but skipped so the count still converges.
   auto worker = [shared, block, blocks, n, &fn]() {
     for (;;) {
       size_t b = shared->next_block.fetch_add(1);

@@ -2,8 +2,8 @@
 //
 // The paper's servers spend almost all CPU time on Curve25519 operations, one
 // per request per server (§8.2, "Dominant costs"). A mix server hands each
-// round's batch to `ParallelFor`, which is the same batching structure the Go
-// prototype gets from goroutines across 36 cores.
+// round's batch to `ParallelForBlocks`, which is the same batching structure
+// the Go prototype gets from goroutines across 36 cores.
 
 #ifndef VUVUZELA_SRC_UTIL_THREAD_POOL_H_
 #define VUVUZELA_SRC_UTIL_THREAD_POOL_H_
@@ -29,20 +29,22 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  // Runs fn(i) for i in [0, n), sharded over the workers, and blocks until all
-  // iterations complete. Exceptions from `fn` propagate to the caller (the
-  // first one wins); once any iteration throws, the remaining iterations are
-  // cancelled, so a poisoned batch fails fast instead of grinding to the end.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  // Runs fn(begin, end) over contiguous blocks of at most `block` indices,
-  // work-stealing whole blocks. The batched mix pass uses this so each worker
-  // touches a cache-friendly run of onions and can hoist per-block scratch
-  // (derived keys, reusable buffers) out of the per-onion loop — with
-  // ParallelFor that state would be re-established per index or shared across
-  // threads. Same blocking/exception contract as ParallelFor.
+  // Runs fn(begin, end) over contiguous blocks of at most `block` indices
+  // (0 is treated as 1), work-stealing whole blocks, and blocks until all
+  // complete. The calling thread claims blocks too, so nested calls from
+  // inside a pool task cannot deadlock. Exceptions from `fn` propagate to
+  // the caller (the first one wins); once any block throws, blocks not yet
+  // started are cancelled, so a poisoned batch fails fast instead of
+  // grinding to the end. A one-worker pool runs every block inline. The mix
+  // pass uses blocks so each worker touches a cache-friendly run of onions
+  // and can hoist per-block scratch out of the per-onion loop.
   void ParallelForBlocks(size_t n, size_t block,
                          const std::function<void(size_t, size_t)>& fn);
+
+  // Runs fn(i) for i in [0, n): ParallelForBlocks with about four blocks per
+  // worker. Same contract, except that after a throw the blocks already
+  // running also stop at their next index.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
   struct Task {

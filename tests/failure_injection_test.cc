@@ -146,6 +146,30 @@ TEST_F(FailureInjectionTest, MismatchedResponseCountThrows) {
                std::invalid_argument);
 }
 
+TEST_F(FailureInjectionTest, MismatchedResponseSizeThrows) {
+  // Responses are fixed-size. A compromised downstream hop that changes one
+  // response's length would have the honest hop relay it, and a network
+  // observer could see which client receives the odd-sized reply; the pass
+  // must refuse the batch instead of sealing it.
+  const size_t expected = crypto::OnionResponseSize(wire::kEnvelopeSize, chain_.size() - 1);
+  uint64_t round = 20;
+  for (size_t odd_size : {expected - 1, expected + 1, size_t{0}}) {
+    auto onion = WrapExchange(round, conversation::BuildFakeExchangeRequest(alice_, round, rng_));
+    auto out = chain_.server(0).ForwardConversation(round, {onion});
+    std::vector<util::Bytes> responses(out.size(), util::Bytes(expected));
+    responses.back().resize(odd_size);
+    EXPECT_THROW(chain_.server(0).BackwardConversation(round, std::move(responses)),
+                 std::invalid_argument)
+        << "size " << odd_size;
+    ++round;
+  }
+  // The same batch at the fixed size is accepted.
+  auto onion = WrapExchange(round, conversation::BuildFakeExchangeRequest(alice_, round, rng_));
+  auto out = chain_.server(0).ForwardConversation(round, {onion});
+  std::vector<util::Bytes> responses(out.size(), util::Bytes(expected));
+  EXPECT_EQ(chain_.server(0).BackwardConversation(round, std::move(responses)).size(), 1u);
+}
+
 TEST_F(FailureInjectionTest, TamperedResponsesDegradeToGarbage) {
   // A malicious middle server that flips bits in responses cannot forge
   // plaintexts: the client sees undecryptable garbage, never corrupted text.
@@ -416,7 +440,8 @@ TEST_F(CrashRecovery, ReplayedForwardPassIsServedOnceAndByteIdentical) {
 
   // The replay did not consume the round state: the backward pass works, and
   // replaying *it* (state-consuming at the server!) is also idempotent.
-  size_t response_size = wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead;
+  // Hop 0 of three gets responses sealed by the two hops after it.
+  size_t response_size = crypto::OnionResponseSize(wire::kEnvelopeSize, 2);
   std::vector<util::Bytes> responses;
   for (size_t i = 0; i < first.size(); ++i) {
     responses.push_back(rng.RandomBytes(response_size));

@@ -257,5 +257,77 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(count.load(), 32);
 }
 
+TEST(ThreadPool, ParallelForBlocksVisitsEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr size_t kBlock = 16;
+  for (size_t n : {size_t{0}, size_t{1}, kBlock - 1, kBlock, kBlock + 1, 37 * kBlock + 5}) {
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<size_t> calls{0};
+    pool.ParallelForBlocks(n, kBlock, [&](size_t begin, size_t end) {
+      EXPECT_LT(begin, end);
+      EXPECT_LE(end - begin, kBlock);
+      EXPECT_EQ(begin % kBlock, 0u);  // blocks are aligned, contiguous runs
+      for (size_t i = begin; i < end; ++i) {
+        hits[i].fetch_add(1);
+      }
+      calls.fetch_add(1);
+    });
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(calls.load(), (n + kBlock - 1) / kBlock) << "n=" << n;
+  }
+}
+
+TEST(ThreadPool, ParallelForBlocksTreatsZeroBlockAsOne) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(10);
+  pool.ParallelForBlocks(10, 0, [&](size_t begin, size_t end) {
+    EXPECT_EQ(end, begin + 1);
+    hits[begin].fetch_add(1);
+  });
+  for (auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPool, ParallelForBlocksExceptionCancelsRemainingBlocks) {
+  ThreadPool pool(4);
+  constexpr size_t kBlocks = 100000;
+  std::atomic<size_t> executed{0};
+  EXPECT_THROW(pool.ParallelForBlocks(kBlocks, 1,
+                                      [&](size_t begin, size_t) {
+                                        if (begin == 0) {
+                                          throw std::runtime_error("boom");
+                                        }
+                                        executed.fetch_add(1, std::memory_order_relaxed);
+                                      }),
+               std::runtime_error);
+  // Without cancellation every other block runs (kBlocks - 1); with it, only
+  // blocks claimed before the exception landed do.
+  EXPECT_LT(executed.load(), kBlocks - 1);
+}
+
+TEST(ThreadPool, NestedParallelForBlocksNeitherDeadlocksNorLosesException) {
+  ThreadPool pool(2);
+  std::atomic<int> count{0};
+  pool.ParallelForBlocks(8, 2, [&](size_t begin, size_t end) {
+    pool.ParallelForBlocks(16, 4, [&](size_t b, size_t e) {
+      count.fetch_add(static_cast<int>((end - begin) * (e - b)));
+    });
+  });
+  EXPECT_EQ(count.load(), 8 * 16);
+
+  EXPECT_THROW(pool.ParallelForBlocks(8, 2,
+                                      [&](size_t, size_t) {
+                                        pool.ParallelForBlocks(16, 4, [](size_t b, size_t) {
+                                          if (b == 12) {
+                                            throw std::logic_error("inner");
+                                          }
+                                        });
+                                      }),
+               std::logic_error);
+}
+
 }  // namespace
 }  // namespace vuvuzela::util
