@@ -58,6 +58,72 @@ void BM_AeadSealEnvelope(benchmark::State& state) {
 }
 BENCHMARK(BM_AeadSealEnvelope);
 
+// The two AEAD calls every conversation message makes at every hop: opening
+// its request layer (hop 0 of a 3-hop chain: a 416-byte layer, i.e. 368
+// plaintext bytes after the 32-byte key and the tag) and sealing its 256-byte
+// response, both through the allocation-free forms the mix pass runs.
+void BM_AeadOpenOnionLayer(benchmark::State& state) {
+  util::Xoshiro256Rng rng(8);
+  crypto::AeadKey key;
+  rng.Fill(key);
+  constexpr size_t kLayerSize = wire::kExchangeRequestSize + 3 * crypto::kOnionRequestLayerOverhead;
+  const crypto::AeadNonce nonce = crypto::NonceFromUint64(1);
+  util::Bytes inner = rng.RandomBytes(kLayerSize - crypto::kOnionRequestLayerOverhead);
+  util::Bytes sealed = crypto::AeadSeal(key, nonce, {}, inner);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::AeadOpenInto(key, nonce, {}, sealed, inner));
+    benchmark::DoNotOptimize(inner.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kLayerSize));
+}
+BENCHMARK(BM_AeadOpenOnionLayer);
+
+void BM_AeadSealResponse(benchmark::State& state) {
+  util::Xoshiro256Rng rng(9);
+  crypto::AeadKey key;
+  rng.Fill(key);
+  util::Bytes response = rng.RandomBytes(wire::kEnvelopeSize);
+  util::Bytes sealed(response.size() + crypto::kAeadTagSize);
+  uint64_t round = 0;
+  for (auto _ : state) {
+    crypto::AeadSealInto(key, crypto::NonceFromUint64(round++), {}, response, sealed);
+    benchmark::DoNotOptimize(sealed.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(response.size()));
+}
+BENCHMARK(BM_AeadSealResponse);
+
+// The two halves of the AEAD on their own, at 1 KiB.
+void BM_ChaCha20Keystream(benchmark::State& state) {
+  util::Xoshiro256Rng rng(10);
+  crypto::ChaCha20Key key;
+  rng.Fill(key);
+  util::Bytes data = rng.RandomBytes(1024);
+  for (auto _ : state) {
+    crypto::ChaCha20Xor(key, crypto::ChaCha20Nonce{}, 1, data, data);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_ChaCha20Keystream);
+
+void BM_Poly1305(benchmark::State& state) {
+  util::Xoshiro256Rng rng(11);
+  crypto::Poly1305Key key;
+  rng.Fill(key);
+  util::Bytes data = rng.RandomBytes(1024);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::Poly1305::Compute(key, data));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_Poly1305);
+
 void BM_Sha256DeadDropId(benchmark::State& state) {
   util::Xoshiro256Rng rng(4);
   util::Bytes input = rng.RandomBytes(40);  // secret ‖ round

@@ -1,20 +1,44 @@
 #include "src/crypto/aead.h"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 namespace vuvuzela::crypto {
 
 namespace {
 
-// Poly1305 one-time key = first 32 bytes of the ChaCha20 keystream at
-// counter 0 (RFC 8439 §2.6).
-Poly1305Key DeriveMacKey(const AeadKey& key, const AeadNonce& nonce) {
-  uint8_t block[kChaCha20BlockSize];
-  ChaCha20Block(key, nonce, 0, block);
-  Poly1305Key mac_key;
-  std::memcpy(mac_key.data(), block, mac_key.size());
-  return mac_key;
-}
+// Keystream bytes the first kernel call yields past block 0.
+constexpr size_t kHeadSize = kChaCha20KernelSize - kChaCha20BlockSize;
+
+// One keystream pass per AEAD call (RFC 8439 §2.6/§2.8): the first kernel
+// call yields block 0, whose first 32 bytes are the Poly1305 key, and blocks
+// 1-3, which encrypt the first 192 bytes; the rest starts at block 4.
+class Keystream {
+ public:
+  Keystream(const AeadKey& key, const AeadNonce& nonce) : key_(key), nonce_(nonce) {
+    ChaCha20Blocks4(key, nonce, 0, blocks_);
+  }
+
+  Poly1305Key MacKey() const {
+    Poly1305Key mac_key;
+    std::memcpy(mac_key.data(), blocks_, mac_key.size());
+    return mac_key;
+  }
+
+  void Xor(util::ByteSpan input, util::MutableByteSpan output) const {
+    size_t head = std::min(input.size(), kHeadSize);
+    ChaCha20XorKeystream(blocks_ + kChaCha20BlockSize, input.first(head), output.first(head));
+    if (input.size() > head) {
+      ChaCha20Xor(key_, nonce_, kChaCha20KernelBlocks, input.subspan(head), output.subspan(head));
+    }
+  }
+
+ private:
+  const AeadKey& key_;
+  const AeadNonce& nonce_;
+  uint8_t blocks_[kChaCha20KernelSize];
+};
 
 Poly1305Tag ComputeTag(const Poly1305Key& mac_key, util::ByteSpan aad, util::ByteSpan ciphertext) {
   static constexpr uint8_t kZeroPad[16] = {0};
@@ -39,10 +63,7 @@ Poly1305Tag ComputeTag(const Poly1305Key& mac_key, util::ByteSpan aad, util::Byt
 util::Bytes AeadSeal(const AeadKey& key, const AeadNonce& nonce, util::ByteSpan aad,
                      util::ByteSpan plaintext) {
   util::Bytes out(plaintext.size() + kAeadTagSize);
-  ChaCha20Xor(key, nonce, 1, plaintext, util::MutableByteSpan(out.data(), plaintext.size()));
-  Poly1305Key mac_key = DeriveMacKey(key, nonce);
-  Poly1305Tag tag = ComputeTag(mac_key, aad, util::ByteSpan(out.data(), plaintext.size()));
-  std::memcpy(out.data() + plaintext.size(), tag.data(), tag.size());
+  AeadSealInto(key, nonce, aad, plaintext, out);
   return out;
 }
 
@@ -51,26 +72,22 @@ std::optional<util::Bytes> AeadOpen(const AeadKey& key, const AeadNonce& nonce, 
   if (ciphertext_and_tag.size() < kAeadTagSize) {
     return std::nullopt;
   }
-  size_t ct_len = ciphertext_and_tag.size() - kAeadTagSize;
-  util::ByteSpan ciphertext = ciphertext_and_tag.subspan(0, ct_len);
-  util::ByteSpan tag = ciphertext_and_tag.subspan(ct_len);
-
-  Poly1305Key mac_key = DeriveMacKey(key, nonce);
-  Poly1305Tag expected = ComputeTag(mac_key, aad, ciphertext);
-  if (!util::ConstantTimeEqual(expected, tag)) {
+  util::Bytes plaintext(ciphertext_and_tag.size() - kAeadTagSize);
+  if (!AeadOpenInto(key, nonce, aad, ciphertext_and_tag, plaintext)) {
     return std::nullopt;
   }
-
-  util::Bytes plaintext(ct_len);
-  ChaCha20Xor(key, nonce, 1, ciphertext, plaintext);
   return plaintext;
 }
 
 void AeadSealInto(const AeadKey& key, const AeadNonce& nonce, util::ByteSpan aad,
                   util::ByteSpan plaintext, util::MutableByteSpan out) {
-  ChaCha20Xor(key, nonce, 1, plaintext, util::MutableByteSpan(out.data(), plaintext.size()));
-  Poly1305Key mac_key = DeriveMacKey(key, nonce);
-  Poly1305Tag tag = ComputeTag(mac_key, aad, util::ByteSpan(out.data(), plaintext.size()));
+  if (out.size() != plaintext.size() + kAeadTagSize) {
+    throw std::invalid_argument("AeadSealInto: output size mismatch");
+  }
+  Keystream keystream(key, nonce);
+  util::MutableByteSpan ciphertext = out.first(plaintext.size());
+  keystream.Xor(plaintext, ciphertext);
+  Poly1305Tag tag = ComputeTag(keystream.MacKey(), aad, ciphertext);
   std::memcpy(out.data() + plaintext.size(), tag.data(), tag.size());
 }
 
@@ -80,15 +97,19 @@ bool AeadOpenInto(const AeadKey& key, const AeadNonce& nonce, util::ByteSpan aad
     return false;
   }
   size_t ct_len = ciphertext_and_tag.size() - kAeadTagSize;
-  util::ByteSpan ciphertext = ciphertext_and_tag.subspan(0, ct_len);
+  util::ByteSpan ciphertext = ciphertext_and_tag.first(ct_len);
   util::ByteSpan tag = ciphertext_and_tag.subspan(ct_len);
+  if (plaintext_out.size() != ct_len) {
+    throw std::invalid_argument("AeadOpenInto: output size mismatch");
+  }
 
-  Poly1305Key mac_key = DeriveMacKey(key, nonce);
-  Poly1305Tag expected = ComputeTag(mac_key, aad, ciphertext);
+  // The tag is checked before a single plaintext byte is written.
+  Keystream keystream(key, nonce);
+  Poly1305Tag expected = ComputeTag(keystream.MacKey(), aad, ciphertext);
   if (!util::ConstantTimeEqual(expected, tag)) {
     return false;
   }
-  ChaCha20Xor(key, nonce, 1, ciphertext, plaintext_out);
+  keystream.Xor(ciphertext, plaintext_out);
   return true;
 }
 

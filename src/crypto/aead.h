@@ -24,29 +24,32 @@ using AeadKey = ChaCha20Key;
 using AeadNonce = ChaCha20Nonce;
 
 // Encrypts `plaintext` with `aad` bound into the tag. Output layout:
-// ciphertext ‖ tag (plaintext.size() + 16 bytes).
+// ciphertext ‖ tag (plaintext.size() + 16 bytes). A wrapper over
+// AeadSealInto.
 util::Bytes AeadSeal(const AeadKey& key, const AeadNonce& nonce, util::ByteSpan aad,
                      util::ByteSpan plaintext);
 
 // Verifies and decrypts. Returns nullopt if the tag does not verify or the
-// input is shorter than a tag.
+// input is shorter than a tag. A wrapper over AeadOpenInto.
 std::optional<util::Bytes> AeadOpen(const AeadKey& key, const AeadNonce& nonce, util::ByteSpan aad,
                                     util::ByteSpan ciphertext_and_tag);
 
-// Allocation-free variants for the batched mix pass: the caller owns the
+// The allocation-free forms every AEAD call runs on: the caller owns the
 // output buffer (typically a slot in a preallocated block of results), so a
-// pass over N onions performs zero intermediate allocations. Byte-identical
-// to AeadSeal/AeadOpen.
+// mix pass over N onions performs zero intermediate allocations. Each call
+// makes one keystream pass: its first ChaCha20 kernel call yields the
+// Poly1305 key (block 0) and the keystream for the first 192 bytes.
 //
-// `out` must be exactly plaintext.size() + kAeadTagSize bytes. `out` must not
-// overlap `plaintext`.
+// `out` must be exactly plaintext.size() + kAeadTagSize bytes (else
+// std::invalid_argument) and must not overlap `plaintext`.
 void AeadSealInto(const AeadKey& key, const AeadNonce& nonce, util::ByteSpan aad,
                   util::ByteSpan plaintext, util::MutableByteSpan out);
 
 // `plaintext_out` must be exactly ciphertext_and_tag.size() - kAeadTagSize
-// bytes and must not overlap the input. Returns false (leaving
-// `plaintext_out` unspecified) if the tag fails or the input is shorter than
-// a tag.
+// bytes (else std::invalid_argument) and must not overlap the input. The tag
+// is verified in constant time before any plaintext is written: returns
+// false, leaving `plaintext_out` untouched, if the tag fails or the input is
+// shorter than a tag.
 bool AeadOpenInto(const AeadKey& key, const AeadNonce& nonce, util::ByteSpan aad,
                   util::ByteSpan ciphertext_and_tag, util::MutableByteSpan plaintext_out);
 

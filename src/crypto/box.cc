@@ -51,10 +51,9 @@ util::Bytes SealedBoxSeal(const X25519PublicKey& recipient_pk, util::ByteSpan co
   AeadNonce nonce = SealedBoxNonce(ephemeral.public_key, recipient_pk);
   util::Bytes boxed =
       BoxSeal(ephemeral.secret_key, recipient_pk, nonce, context, plaintext);
-  util::Bytes out;
-  out.reserve(kX25519KeySize + boxed.size());
-  util::Append(out, ephemeral.public_key);
-  util::Append(out, boxed);
+  util::Bytes out(kX25519KeySize + boxed.size());
+  std::memcpy(out.data(), ephemeral.public_key.data(), kX25519KeySize);
+  std::memcpy(out.data() + kX25519KeySize, boxed.data(), boxed.size());
   return out;
 }
 

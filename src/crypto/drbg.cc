@@ -1,6 +1,7 @@
 #include "src/crypto/drbg.h"
 
 #include <cstring>
+#include <stdexcept>
 
 namespace vuvuzela::crypto {
 
@@ -12,17 +13,28 @@ ChaChaRng ChaChaRng::FromSystem() {
   return ChaChaRng(seed);
 }
 
+ChaChaRng ChaChaRng::AtBlock(const ChaCha20Key& seed, uint32_t block) {
+  if (block % kChaCha20KernelBlocks != 0) {
+    throw std::invalid_argument("ChaChaRng::AtBlock: block must be a multiple of 4");
+  }
+  ChaChaRng rng(seed);
+  rng.counter_ = block;
+  return rng;
+}
+
 void ChaChaRng::Refill() {
-  ChaCha20Block(key_, nonce_, counter_++, buffer_);
-  available_ = kChaCha20BlockSize;
+  ChaCha20Blocks4(key_, nonce_, counter_, buffer_);
+  counter_ += kChaCha20KernelBlocks;
+  available_ = kChaCha20KernelSize;
   if (counter_ == 0) {
     // 2^32 blocks (256 GiB) exhausted: ratchet the key forward so the stream
-    // never repeats.
-    ChaCha20Key next;
-    std::memcpy(next.data(), buffer_, next.size());
-    key_ = next;
-    available_ = kChaCha20BlockSize - next.size();
-    std::memmove(buffer_, buffer_ + next.size(), available_);
+    // never repeats. The new key is the first 32 bytes of the last block,
+    // which are never emitted; the three blocks before it shift up to close
+    // the gap, so the unread bytes stay contiguous at the end of buffer_.
+    uint8_t* last = buffer_ + kChaCha20KernelSize - kChaCha20BlockSize;
+    std::memcpy(key_.data(), last, key_.size());
+    std::memmove(buffer_ + key_.size(), buffer_, last - buffer_);
+    available_ = kChaCha20KernelSize - key_.size();
   }
 }
 
@@ -33,7 +45,7 @@ void ChaChaRng::Fill(util::MutableByteSpan out) {
       Refill();
     }
     size_t take = std::min(out.size() - off, available_);
-    std::memcpy(out.data() + off, buffer_ + (kChaCha20BlockSize - available_), take);
+    std::memcpy(out.data() + off, buffer_ + (kChaCha20KernelSize - available_), take);
     available_ -= take;
     off += take;
   }

@@ -21,17 +21,23 @@ class ChaChaRng final : public util::Rng {
   // Seeds from OS entropy.
   static ChaChaRng FromSystem();
 
+  // The stream of ChaChaRng(seed) from keystream block `block` on, i.e. after
+  // its first 64·block bytes. `block` must be a multiple of 4 (else
+  // std::invalid_argument). Lets tests reach the 2^32-block key ratchet.
+  static ChaChaRng AtBlock(const ChaCha20Key& seed, uint32_t block);
+
   void Fill(util::MutableByteSpan out) override;
   uint64_t NextUint64() override;
 
  private:
+  // Refills 4 blocks (one ChaCha20 kernel call) at a time.
   void Refill();
 
   ChaCha20Key key_;
   ChaCha20Nonce nonce_{};  // fixed; the 32-bit block counter provides stream position
   uint32_t counter_ = 0;
-  uint8_t buffer_[kChaCha20BlockSize];
-  size_t available_ = 0;
+  uint8_t buffer_[kChaCha20KernelSize];
+  size_t available_ = 0;  // unread bytes, at the end of buffer_
 };
 
 }  // namespace vuvuzela::crypto

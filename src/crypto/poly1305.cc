@@ -1,102 +1,98 @@
 #include "src/crypto/poly1305.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
 namespace vuvuzela::crypto {
 
+namespace {
+
+using U128 = unsigned __int128;
+
+constexpr uint64_t kMask44 = (uint64_t{1} << 44) - 1;
+constexpr uint64_t kMask42 = (uint64_t{1} << 42) - 1;
+constexpr uint64_t kHibit = uint64_t{1} << 40;  // 2^128 in the 2^88 limb
+
+}  // namespace
+
 Poly1305::Poly1305(const Poly1305Key& key) {
-  // Clamp r per RFC 8439 §2.5 and split into five 26-bit limbs
-  // (poly1305-donna-32 layout).
-  const uint8_t* k = key.data();
-  r_[0] = util::LoadLe32(k + 0) & 0x03ffffff;
-  r_[1] = (util::LoadLe32(k + 3) >> 2) & 0x03ffff03;
-  r_[2] = (util::LoadLe32(k + 6) >> 4) & 0x03ffc0ff;
-  r_[3] = (util::LoadLe32(k + 9) >> 6) & 0x03f03fff;
-  r_[4] = (util::LoadLe32(k + 12) >> 8) & 0x000fffff;
-  std::memcpy(pad_, k + 16, 16);
+  // Clamp r per RFC 8439 §2.5 and split it into 44/44/42-bit limbs.
+  uint64_t t0 = util::LoadLe64(key.data());
+  uint64_t t1 = util::LoadLe64(key.data() + 8);
+  r_[0] = t0 & 0xffc0fffffffULL;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffffULL;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0fULL;
+  pad_[0] = util::LoadLe64(key.data() + 16);
+  pad_[1] = util::LoadLe64(key.data() + 24);
 }
 
-void Poly1305::ProcessBlock(const uint8_t block[17]) {
-  // Add the 17-byte value (block[16] carries the 2^128 coefficient) to h.
-  uint32_t h0 = h_[0] + (util::LoadLe32(block + 0) & 0x03ffffff);
-  uint32_t h1 = h_[1] + ((util::LoadLe32(block + 3) >> 2) & 0x03ffffff);
-  uint32_t h2 = h_[2] + ((util::LoadLe32(block + 6) >> 4) & 0x03ffffff);
-  uint32_t h3 = h_[3] + ((util::LoadLe32(block + 9) >> 6) & 0x03ffffff);
-  uint32_t h4 = h_[4] + ((util::LoadLe32(block + 12) >> 8) |
-                         (static_cast<uint32_t>(block[16]) << 24));
+void Poly1305::Blocks(const uint8_t* m, size_t nblocks, uint64_t hibit) {
+  const uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2];
+  // Limb products past 2^130 wrap to ×5; the extra ×4 realigns the 2^132
+  // and 2^176 positions of r1·h2, r2·h1, r2·h2 with limbs 0 and 1.
+  const uint64_t s1 = r1 * (5 << 2);
+  const uint64_t s2 = r2 * (5 << 2);
+  uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  for (size_t i = 0; i < nblocks; ++i, m += kPoly1305BlockSize) {
+    uint64_t t0 = util::LoadLe64(m);
+    uint64_t t1 = util::LoadLe64(m + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += (t1 >> 24) | hibit;
 
-  // h *= r mod 2^130 - 5.
-  uint64_t s1 = static_cast<uint64_t>(r_[1]) * 5;
-  uint64_t s2 = static_cast<uint64_t>(r_[2]) * 5;
-  uint64_t s3 = static_cast<uint64_t>(r_[3]) * 5;
-  uint64_t s4 = static_cast<uint64_t>(r_[4]) * 5;
+    // h *= r mod 2^130 - 5.
+    U128 d0 = U128{h0} * r0 + U128{h1} * s2 + U128{h2} * s1;
+    U128 d1 = U128{h0} * r1 + U128{h1} * r0 + U128{h2} * s2;
+    U128 d2 = U128{h0} * r2 + U128{h1} * r1 + U128{h2} * r0;
 
-  uint64_t d0 = static_cast<uint64_t>(h0) * r_[0] + static_cast<uint64_t>(h1) * s4 +
-                static_cast<uint64_t>(h2) * s3 + static_cast<uint64_t>(h3) * s2 +
-                static_cast<uint64_t>(h4) * s1;
-  uint64_t d1 = static_cast<uint64_t>(h0) * r_[1] + static_cast<uint64_t>(h1) * r_[0] +
-                static_cast<uint64_t>(h2) * s4 + static_cast<uint64_t>(h3) * s3 +
-                static_cast<uint64_t>(h4) * s2;
-  uint64_t d2 = static_cast<uint64_t>(h0) * r_[2] + static_cast<uint64_t>(h1) * r_[1] +
-                static_cast<uint64_t>(h2) * r_[0] + static_cast<uint64_t>(h3) * s4 +
-                static_cast<uint64_t>(h4) * s3;
-  uint64_t d3 = static_cast<uint64_t>(h0) * r_[3] + static_cast<uint64_t>(h1) * r_[2] +
-                static_cast<uint64_t>(h2) * r_[1] + static_cast<uint64_t>(h3) * r_[0] +
-                static_cast<uint64_t>(h4) * s4;
-  uint64_t d4 = static_cast<uint64_t>(h0) * r_[4] + static_cast<uint64_t>(h1) * r_[3] +
-                static_cast<uint64_t>(h2) * r_[2] + static_cast<uint64_t>(h3) * r_[1] +
-                static_cast<uint64_t>(h4) * r_[0];
-
-  uint64_t c = d0 >> 26;
-  h_[0] = static_cast<uint32_t>(d0) & 0x03ffffff;
-  d1 += c;
-  c = d1 >> 26;
-  h_[1] = static_cast<uint32_t>(d1) & 0x03ffffff;
-  d2 += c;
-  c = d2 >> 26;
-  h_[2] = static_cast<uint32_t>(d2) & 0x03ffffff;
-  d3 += c;
-  c = d3 >> 26;
-  h_[3] = static_cast<uint32_t>(d3) & 0x03ffffff;
-  d4 += c;
-  c = d4 >> 26;
-  h_[4] = static_cast<uint32_t>(d4) & 0x03ffffff;
-  h_[0] += static_cast<uint32_t>(c * 5);
-  c = h_[0] >> 26;
-  h_[0] &= 0x03ffffff;
-  h_[1] += static_cast<uint32_t>(c);
+    uint64_t c = static_cast<uint64_t>(d0 >> 44);
+    h0 = static_cast<uint64_t>(d0) & kMask44;
+    d1 += c;
+    c = static_cast<uint64_t>(d1 >> 44);
+    h1 = static_cast<uint64_t>(d1) & kMask44;
+    d2 += c;
+    c = static_cast<uint64_t>(d2 >> 42);
+    h2 = static_cast<uint64_t>(d2) & kMask42;
+    h0 += c * 5;
+    c = h0 >> 44;
+    h0 &= kMask44;
+    h1 += c;
+  }
+  h_[0] = h0;
+  h_[1] = h1;
+  h_[2] = h2;
 }
 
 void Poly1305::Update(util::ByteSpan data) {
   if (finished_) {
     throw std::logic_error("Poly1305: Update after Finish");
   }
-  size_t off = 0;
+  const uint8_t* m = data.data();
+  size_t n = data.size();
+  if (n == 0) {
+    return;
+  }
   if (buffered_ > 0) {
-    size_t take = std::min(data.size(), 16 - buffered_);
-    std::memcpy(buffer_ + buffered_, data.data(), take);
+    size_t take = std::min(n, kPoly1305BlockSize - buffered_);
+    std::memcpy(buffer_ + buffered_, m, take);
     buffered_ += take;
-    off += take;
-    if (buffered_ == 16) {
-      uint8_t block[17];
-      std::memcpy(block, buffer_, 16);
-      block[16] = 1;
-      ProcessBlock(block);
-      buffered_ = 0;
+    m += take;
+    n -= take;
+    if (buffered_ < kPoly1305BlockSize) {
+      return;
     }
+    Blocks(buffer_, 1, kHibit);
+    buffered_ = 0;
   }
-  while (off + 16 <= data.size()) {
-    uint8_t block[17];
-    std::memcpy(block, data.data() + off, 16);
-    block[16] = 1;
-    ProcessBlock(block);
-    off += 16;
+  size_t whole = n / kPoly1305BlockSize;
+  Blocks(m, whole, kHibit);
+  m += whole * kPoly1305BlockSize;
+  n -= whole * kPoly1305BlockSize;
+  if (n > 0) {
+    std::memcpy(buffer_, m, n);
   }
-  if (off < data.size()) {
-    std::memcpy(buffer_, data.data() + off, data.size() - off);
-    buffered_ = data.size() - off;
-  }
+  buffered_ = n;
 }
 
 Poly1305Tag Poly1305::Finish() {
@@ -106,79 +102,61 @@ Poly1305Tag Poly1305::Finish() {
   finished_ = true;
 
   if (buffered_ > 0) {
-    uint8_t block[17];
-    std::memset(block, 0, sizeof(block));
-    std::memcpy(block, buffer_, buffered_);
-    block[buffered_] = 1;  // padding bit folded into the value; hibit = 0
-    ProcessBlock(block);
+    // The padding bit goes into the value itself; the block gets no 2^128.
+    std::memset(buffer_ + buffered_, 0, kPoly1305BlockSize - buffered_);
+    buffer_[buffered_] = 1;
+    Blocks(buffer_, 1, 0);
   }
 
   // Full carry propagation.
-  uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
-  uint32_t c = h1 >> 26;
-  h1 &= 0x03ffffff;
+  uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  uint64_t c = h1 >> 44;
+  h1 &= kMask44;
   h2 += c;
-  c = h2 >> 26;
-  h2 &= 0x03ffffff;
-  h3 += c;
-  c = h3 >> 26;
-  h3 &= 0x03ffffff;
-  h4 += c;
-  c = h4 >> 26;
-  h4 &= 0x03ffffff;
+  c = h2 >> 42;
+  h2 &= kMask42;
   h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= 0x03ffffff;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += c;
+  c = h2 >> 42;
+  h2 &= kMask42;
+  h0 += c * 5;
+  c = h0 >> 44;
+  h0 &= kMask44;
   h1 += c;
 
   // Compute g = h + 5 - 2^130 and select h or g in constant time.
-  uint32_t g0 = h0 + 5;
-  c = g0 >> 26;
-  g0 &= 0x03ffffff;
-  uint32_t g1 = h1 + c;
-  c = g1 >> 26;
-  g1 &= 0x03ffffff;
-  uint32_t g2 = h2 + c;
-  c = g2 >> 26;
-  g2 &= 0x03ffffff;
-  uint32_t g3 = h3 + c;
-  c = g3 >> 26;
-  g3 &= 0x03ffffff;
-  uint32_t g4 = h4 + c - (1u << 26);
+  uint64_t g0 = h0 + 5;
+  c = g0 >> 44;
+  g0 &= kMask44;
+  uint64_t g1 = h1 + c;
+  c = g1 >> 44;
+  g1 &= kMask44;
+  uint64_t g2 = h2 + c - (uint64_t{1} << 42);
 
-  uint32_t mask = (g4 >> 31) - 1;  // all-ones if g >= 2^130 (i.e. h >= p)
-  g0 &= mask;
-  g1 &= mask;
-  g2 &= mask;
-  g3 &= mask;
-  g4 &= mask;
-  uint32_t nmask = ~mask;
-  h0 = (h0 & nmask) | g0;
-  h1 = (h1 & nmask) | g1;
-  h2 = (h2 & nmask) | g2;
-  h3 = (h3 & nmask) | g3;
-  h4 = (h4 & nmask) | g4;
+  uint64_t mask = (g2 >> 63) - 1;  // all-ones if g >= 0 (i.e. h >= p)
+  h0 = (h0 & ~mask) | (g0 & mask);
+  h1 = (h1 & ~mask) | (g1 & mask);
+  h2 = (h2 & ~mask) | (g2 & mask);
 
-  // h = h mod 2^128, then add pad (s) with carry.
-  uint32_t f0 = h0 | (h1 << 26);
-  uint32_t f1 = (h1 >> 6) | (h2 << 20);
-  uint32_t f2 = (h2 >> 12) | (h3 << 14);
-  uint32_t f3 = (h3 >> 18) | (h4 << 8);
-
-  uint64_t acc = static_cast<uint64_t>(f0) + util::LoadLe32(pad_ + 0);
-  f0 = static_cast<uint32_t>(acc);
-  acc = static_cast<uint64_t>(f1) + util::LoadLe32(pad_ + 4) + (acc >> 32);
-  f1 = static_cast<uint32_t>(acc);
-  acc = static_cast<uint64_t>(f2) + util::LoadLe32(pad_ + 8) + (acc >> 32);
-  f2 = static_cast<uint32_t>(acc);
-  acc = static_cast<uint64_t>(f3) + util::LoadLe32(pad_ + 12) + (acc >> 32);
-  f3 = static_cast<uint32_t>(acc);
+  // h = (h + s) mod 2^128.
+  uint64_t s0 = pad_[0], s1 = pad_[1];
+  h0 += s0 & kMask44;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += (((s0 >> 44) | (s1 << 20)) & kMask44) + c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += (s1 >> 24) + c;
+  h2 &= kMask42;
 
   Poly1305Tag tag;
-  util::StoreLe32(tag.data() + 0, f0);
-  util::StoreLe32(tag.data() + 4, f1);
-  util::StoreLe32(tag.data() + 8, f2);
-  util::StoreLe32(tag.data() + 12, f3);
+  util::StoreLe64(tag.data(), h0 | (h1 << 44));
+  util::StoreLe64(tag.data() + 8, (h1 >> 20) | (h2 << 24));
   return tag;
 }
 

@@ -12,22 +12,22 @@ AeadKey SecretCache::Get(const X25519SecretKey& server_sk, const X25519PublicKey
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(client_pk);
     if (it != shard.map.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++shard.hits;
       return it->second;
     }
+    ++shard.misses;
   }
 
   // Miss: do the expensive DH + HKDF outside the lock. Two threads racing on
   // the same new client derive the same key twice and one insert wins —
   // wasted work, never a wrong answer.
-  misses_.fetch_add(1, std::memory_order_relaxed);
   X25519SharedSecret shared = X25519(server_sk, client_pk);
   AeadKey key = DeriveBoxKey(shared, context);
 
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.map.size() >= max_per_shard_ && shard.map.find(client_pk) == shard.map.end()) {
     shard.map.erase(shard.map.begin());
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.evictions;
   }
   shard.map.emplace(client_pk, key);
   return key;
@@ -43,11 +43,11 @@ void SecretCache::Invalidate() {
 
 SecretCache::Stats SecretCache::GetStats() const {
   Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(const_cast<Shard&>(shard).mu);
+    stats.hits += shard.hits;
+    stats.misses += shard.misses;
+    stats.evictions += shard.evictions;
     stats.entries += shard.map.size();
   }
   return stats;

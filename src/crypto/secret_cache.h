@@ -77,9 +77,15 @@ class SecretCache {
       return static_cast<size_t>(util::LoadLe64(pk.data()));
     }
   };
-  struct Shard {
+  // One cache line (or more) per shard, so neighbouring shards' mutexes and
+  // counters are not contended together. The counters are only touched under
+  // `mu`, which the lookup holds anyway.
+  struct alignas(64) Shard {
     std::mutex mu;
     std::unordered_map<X25519PublicKey, AeadKey, PkHash> map;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
   };
   static constexpr size_t kShards = 16;
 
@@ -88,9 +94,6 @@ class SecretCache {
   Shard shards_[kShards];
   size_t max_per_shard_;
   std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace vuvuzela::crypto

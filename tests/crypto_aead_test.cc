@@ -1,5 +1,6 @@
 // ChaCha20-Poly1305 AEAD against RFC 8439 §2.8.2 and §A.5 vectors, plus
-// tamper-rejection properties.
+// tamper-rejection properties and an oracle AEAD built from the scalar parts
+// in tests/crypto_reference.h.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "src/crypto/aead.h"
 #include "src/util/bytes.h"
 #include "src/util/random.h"
+#include "tests/crypto_reference.h"
 
 namespace vuvuzela::crypto {
 namespace {
@@ -146,6 +148,60 @@ TEST(Aead, NonceFromUint64Layout) {
   AeadNonce n = NonceFromUint64(0x0102030405060708ULL, 0xa0b0c0d0);
   EXPECT_EQ(util::LoadLe32(n.data()), 0xa0b0c0d0u);
   EXPECT_EQ(util::LoadLe64(n.data() + 4), 0x0102030405060708ULL);
+}
+
+TEST(AeadOracle, IntoFormsMatchScalarAtEveryLength) {
+  util::Xoshiro256Rng rng(31);
+  AeadKey key;
+  rng.Fill(key);
+  Bytes input = rng.RandomBytes(1100);
+  for (size_t len = 0; len <= input.size(); ++len) {
+    AeadNonce nonce = NonceFromUint64(len, 3);
+    util::ByteSpan plaintext(input.data(), len);
+    Bytes aad = rng.RandomBytes(len % 37);
+    Bytes expected = reference::AeadSeal(key, nonce, aad, plaintext);
+
+    Bytes sealed(len + kAeadTagSize);
+    AeadSealInto(key, nonce, aad, plaintext, sealed);
+    ASSERT_EQ(sealed, expected) << "len=" << len;
+    ASSERT_EQ(AeadSeal(key, nonce, aad, plaintext), expected) << "len=" << len;
+
+    Bytes opened(len);
+    ASSERT_TRUE(AeadOpenInto(key, nonce, aad, sealed, opened)) << "len=" << len;
+    ASSERT_TRUE(util::ConstantTimeEqual(opened, plaintext)) << "len=" << len;
+    auto oracle_opened = reference::AeadOpen(key, nonce, aad, sealed);
+    ASSERT_TRUE(oracle_opened.has_value()) << "len=" << len;
+    ASSERT_EQ(*oracle_opened, opened) << "len=" << len;
+  }
+}
+
+TEST(AeadOracle, FlippedTagBitRejectedAndOutputUntouched) {
+  util::Xoshiro256Rng rng(32);
+  AeadKey key;
+  rng.Fill(key);
+  Bytes input = rng.RandomBytes(1100);
+  for (size_t len = 0; len <= input.size(); ++len) {
+    AeadNonce nonce = NonceFromUint64(len);
+    Bytes sealed = AeadSeal(key, nonce, {}, util::ByteSpan(input.data(), len));
+    size_t bit = len % (8 * kAeadTagSize);
+    sealed[len + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+
+    Bytes out(len, 0xa5);
+    EXPECT_FALSE(AeadOpenInto(key, nonce, {}, sealed, out)) << "len=" << len;
+    EXPECT_EQ(out, Bytes(len, 0xa5)) << "len=" << len;
+    EXPECT_FALSE(reference::AeadOpen(key, nonce, {}, sealed).has_value()) << "len=" << len;
+  }
+}
+
+TEST(AeadOracle, IntoRejectsWrongOutputSize) {
+  AeadKey key{};
+  AeadNonce nonce{};
+  Bytes plaintext(10);
+  Bytes short_out(plaintext.size() + kAeadTagSize - 1);
+  EXPECT_THROW(AeadSealInto(key, nonce, {}, plaintext, short_out), std::invalid_argument);
+  Bytes sealed = AeadSeal(key, nonce, {}, plaintext);
+  Bytes long_out(plaintext.size() + 1);
+  EXPECT_THROW(AeadOpenInto(key, nonce, {}, sealed, long_out), std::invalid_argument);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "src/crypto/drbg.h"
 #include "src/util/bytes.h"
 #include "src/util/random.h"
+#include "tests/crypto_reference.h"
 
 namespace vuvuzela::crypto {
 namespace {
@@ -152,6 +153,46 @@ TEST(ChaChaRng, UniformBoundWorks) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_LT(rng.UniformUint64(17), 17u);
   }
+}
+
+// Reads `total` bytes from both generators in uneven chunks and compares.
+void ExpectSameStream(ChaChaRng& rng, reference::ChaChaRngStream& oracle, size_t total) {
+  util::Xoshiro256Rng chunks(5);
+  for (size_t off = 0; off < total;) {
+    size_t take = std::min<size_t>(1 + chunks.UniformUint64(300), total - off);
+    Bytes got(take), expected(take);
+    rng.Fill(got);
+    oracle.Fill(expected);
+    ASSERT_EQ(got, expected) << "offset=" << off;
+    off += take;
+  }
+}
+
+TEST(ChaChaRng, StreamMatchesScalarOracle) {
+  ChaCha20Key seed{};
+  seed[3] = 9;
+  ChaChaRng rng(seed);
+  reference::ChaChaRngStream oracle(seed, 0);
+  ExpectSameStream(rng, oracle, 20000);
+}
+
+TEST(ChaChaRng, KeyRatchetMatchesScalarOracle) {
+  // Starts 16 blocks before the 2^32-block wrap and reads well past it.
+  ChaCha20Key seed{};
+  seed[0] = 42;
+  ChaChaRng rng = ChaChaRng::AtBlock(seed, 0xFFFFFFF0);
+  reference::ChaChaRngStream oracle(seed, 0xFFFFFFF0);
+  ExpectSameStream(rng, oracle, 16 * kChaCha20BlockSize + 5000);
+}
+
+TEST(ChaChaRng, AtBlockSkipsWholeBlocks) {
+  ChaCha20Key seed{};
+  seed[1] = 3;
+  ChaChaRng from_start(seed);
+  from_start.RandomBytes(8 * kChaCha20BlockSize);
+  ChaChaRng at_block = ChaChaRng::AtBlock(seed, 8);
+  EXPECT_EQ(at_block.RandomBytes(700), from_start.RandomBytes(700));
+  EXPECT_THROW(ChaChaRng::AtBlock(seed, 6), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// ChaCha20 against RFC 8439 §2.3.2 / §2.4.2 vectors.
+// ChaCha20 against RFC 8439 §2.3.2 / §2.4.2 vectors, and the 4-lane kernel
+// against the scalar block-by-block oracle in tests/crypto_reference.h.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include "src/crypto/chacha20.h"
 #include "src/util/bytes.h"
 #include "src/util/random.h"
+#include "tests/crypto_reference.h"
 
 namespace vuvuzela::crypto {
 namespace {
@@ -100,6 +102,52 @@ TEST(ChaCha20, DistinctNoncesDistinctStreams) {
   ChaCha20Xor(key, n1, 0, zeros, s1);
   ChaCha20Xor(key, n2, 0, zeros, s2);
   EXPECT_NE(s1, s2);
+}
+
+// Counters whose 4-block kernel calls wrap the 32-bit block counter.
+constexpr uint32_t kOracleCounters[] = {0, 1, 5, 0xFFFFFFFC, 0xFFFFFFFD, 0xFFFFFFFE, 0xFFFFFFFF};
+
+TEST(ChaCha20Oracle, KernelMatchesScalarBlocks) {
+  util::Xoshiro256Rng rng(11);
+  ChaCha20Key key;
+  rng.Fill(key);
+  ChaCha20Nonce nonce;
+  rng.Fill(nonce);
+  for (uint32_t counter : kOracleCounters) {
+    uint8_t blocks[kChaCha20KernelSize];
+    ChaCha20Blocks4(key, nonce, counter, blocks);
+    for (uint32_t j = 0; j < kChaCha20KernelBlocks; ++j) {
+      uint8_t expected[kChaCha20BlockSize];
+      reference::ChaCha20Block(key, nonce, counter + j, expected);
+      EXPECT_EQ(0, std::memcmp(blocks + j * kChaCha20BlockSize, expected, sizeof(expected)))
+          << "counter=" << counter << " block=" << j;
+    }
+    uint8_t single[kChaCha20BlockSize];
+    ChaCha20Block(key, nonce, counter, single);
+    EXPECT_EQ(0, std::memcmp(single, blocks, sizeof(single))) << "counter=" << counter;
+  }
+}
+
+TEST(ChaCha20Oracle, XorMatchesScalarAtEveryLength) {
+  util::Xoshiro256Rng rng(12);
+  ChaCha20Key key;
+  rng.Fill(key);
+  ChaCha20Nonce nonce;
+  rng.Fill(nonce);
+  Bytes input = rng.RandomBytes(1100);
+  for (uint32_t counter : kOracleCounters) {
+    for (size_t len = 0; len <= input.size(); ++len) {
+      util::ByteSpan in(input.data(), len);
+      Bytes expected(len), got(len);
+      reference::ChaCha20Xor(key, nonce, counter, in, expected);
+      ChaCha20Xor(key, nonce, counter, in, got);
+      ASSERT_EQ(got, expected) << "counter=" << counter << " len=" << len;
+
+      Bytes in_place(in.begin(), in.end());
+      ChaCha20Xor(key, nonce, counter, in_place, in_place);
+      ASSERT_EQ(in_place, expected) << "in place, counter=" << counter << " len=" << len;
+    }
+  }
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Poly1305 against RFC 8439 §2.5.2 and §A.3 vectors.
+// Poly1305 against RFC 8439 §2.5.2 and §A.3 vectors, and donna-64 against the
+// donna-32 oracle in tests/crypto_reference.h.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include "src/crypto/poly1305.h"
 #include "src/util/bytes.h"
 #include "src/util/random.h"
+#include "tests/crypto_reference.h"
 
 namespace vuvuzela::crypto {
 namespace {
@@ -100,6 +102,67 @@ TEST(Poly1305, FinishTwiceThrows) {
   Poly1305 p(Poly1305Key{});
   p.Finish();
   EXPECT_THROW(p.Finish(), std::logic_error);
+}
+
+TEST(Poly1305Oracle, MatchesDonna32OnRandomInputs) {
+  util::Xoshiro256Rng rng(2024);
+  for (int trial = 0; trial < 10000; ++trial) {
+    Poly1305Key key;
+    rng.Fill(key);
+    Bytes msg = rng.RandomBytes(rng.UniformUint64(601));
+    Poly1305Tag expected = reference::Poly1305Donna32::Compute(key, msg);
+    ASSERT_EQ(Poly1305::Compute(key, msg), expected) << "trial=" << trial;
+    if (trial % 10 == 0) {
+      // Same message through uneven Update chunks.
+      Poly1305 p(key);
+      for (size_t off = 0; off < msg.size();) {
+        size_t take = std::min<size_t>(1 + rng.UniformUint64(40), msg.size() - off);
+        p.Update(util::ByteSpan(msg.data() + off, take));
+        off += take;
+      }
+      ASSERT_EQ(p.Finish(), expected) << "chunked, trial=" << trial;
+    }
+  }
+}
+
+TEST(Poly1305Oracle, MatchesDonna32OnAllOnesAndMaxR) {
+  Poly1305Key max_r;
+  max_r.fill(0xff);  // clamps to the largest r; s = 2^128 - 1
+  util::Xoshiro256Rng rng(7);
+  Poly1305Key random_key;
+  rng.Fill(random_key);
+  for (size_t len = 0; len <= 160; ++len) {
+    Bytes ones(len, 0xff);
+    Bytes random = rng.RandomBytes(len);
+    for (const Poly1305Key& key : {max_r, random_key}) {
+      EXPECT_EQ(Poly1305::Compute(key, ones), reference::Poly1305Donna32::Compute(key, ones))
+          << "all ones, len=" << len;
+    }
+    EXPECT_EQ(Poly1305::Compute(max_r, random), reference::Poly1305Donna32::Compute(max_r, random))
+        << "max r, len=" << len;
+  }
+}
+
+TEST(Poly1305Oracle, AccumulatorAroundModulus) {
+  // With r = 1 and s = 0, h is the plain sum of the blocks with their 2^128
+  // bits: three blocks give 3·2^128 + m = p + delta for m = 2^128 - 5 + delta,
+  // so the tag is h mod p, i.e. delta, or p + delta mod 2^128 below p.
+  Poly1305Key key{};
+  key[0] = 1;
+  for (int delta = -3; delta <= 4; ++delta) {
+    Bytes msg(48, 0);
+    std::memset(msg.data(), 0xff, 16);
+    msg[0] = static_cast<uint8_t>(0xfb + delta);
+    Poly1305Tag expected{};
+    if (delta >= 0) {
+      expected[0] = static_cast<uint8_t>(delta);
+    } else {
+      expected.fill(0xff);
+      expected[0] = static_cast<uint8_t>(0xfb + delta);
+    }
+    EXPECT_EQ(Poly1305::Compute(key, msg), expected) << "delta=" << delta;
+    EXPECT_EQ(reference::Poly1305Donna32::Compute(key, msg), expected) << "delta=" << delta;
+  }
 }
 
 }  // namespace
