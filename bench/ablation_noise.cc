@@ -38,8 +38,9 @@ int main() {
     sim::WorkloadConfig workload{.num_users = 10000, .pairing_fraction = fraction, .seed = 23,
                                  .parallel = true};
     auto onions = sim::GenerateConversationWorkload(workload, chain.public_keys(), 1);
+    engine::RoundScheduler scheduler = bench::LockStepScheduler(chain);
     auto start = std::chrono::steady_clock::now();
-    auto result = chain.RunConversationRound(1, std::move(onions));
+    auto result = scheduler.SubmitConversation(1, std::move(onions)).get();
     double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     std::printf("    %3.0f%% conversing: %.3f s, %llu exchanges\n", fraction * 100, seconds,
@@ -60,7 +61,8 @@ int main() {
       sim::WorkloadConfig workload{.num_users = 1000, .pairing_fraction = 1.0,
                                    .seed = static_cast<uint64_t>(r), .parallel = true};
       auto onions = sim::GenerateConversationWorkload(workload, chain.public_keys(), 1);
-      auto result = chain.RunConversationRound(1, std::move(onions));
+      engine::RoundScheduler scheduler = bench::LockStepScheduler(chain);
+      auto result = scheduler.SubmitConversation(1, std::move(onions)).get();
       double requests = static_cast<double>(result.stats.forward.back().requests_in);
       min_requests = std::min(min_requests, requests);
       max_requests = std::max(max_requests, requests);

@@ -10,6 +10,7 @@
 #include <set>
 
 #include "bench/bench_util.h"
+#include "bench/round_runner.h"
 #include "src/baseline/strawman.h"
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
@@ -93,6 +94,7 @@ int main() {
     config.conversation_noise = {.params = {kMu, kB}, .deterministic = false};
     config.parallel = true;
     mixnet::Chain chain = mixnet::Chain::Create(config, rng);
+    engine::RoundScheduler scheduler = bench::LockStepScheduler(chain);
 
     auto run_round = [&](uint64_t round, bool alice_talks) {
       std::vector<util::Bytes> onions;
@@ -108,7 +110,7 @@ int main() {
         onions.push_back(
             crypto::OnionWrap(chain.public_keys(), round, request.Serialize(), rng).data);
       }
-      return chain.RunConversationRound(round, std::move(onions));
+      return scheduler.SubmitConversation(round, std::move(onions)).get();
     };
     auto with_alice = run_round(2 * t + 1, true);
     auto without = run_round(2 * t + 2, false);

@@ -11,9 +11,10 @@
 //  * MODEL: paper-scale latency from the calibrated cost model (constants
 //    measured in-process; see src/sim/cost_model.h).
 //
-// The PIPELINE section compares the lock-step one-round-at-a-time driver
-// against the engine with K rounds in flight on the same workload — the
-// §8.3 mechanism behind the paper's 68k msgs/sec headline number. Run only
+// The PIPELINE section compares lock-step rounds (the engine at K=1, one
+// round in the chain at a time) against the engine with K rounds in flight
+// on the same workload — the §8.3 mechanism behind the paper's 68k msgs/sec
+// headline number. Every row's round latency is submit→complete. Run only
 // this section with VUVUZELA_FIG9_SECTION=pipeline.
 //
 // VUVUZELA_BENCH_SCALE=full additionally runs a real paper-scale round
@@ -52,24 +53,24 @@ void PrintRealSection(const double* mus, size_t num_mus, const uint64_t* user_po
 }
 
 void PrintPipelineSection() {
-  bench::PrintHeader("PIPELINE", "lock-step driver vs pipelined engine (§8.3)");
+  bench::PrintHeader("PIPELINE", "lock-step (K=1) vs pipelined engine (§8.3)");
   // Smoke mode (CI trajectory tracking) runs the same code paths on a small
   // workload; the JSON rows below land in the BENCH_engine.json artifact.
   const bool smoke = bench::SmokeScale();
   const uint64_t kUsers = smoke ? 2000 : 10000;
   const double kMu = smoke ? 600 : 3000;
   const uint64_t kRounds = smoke ? 4 : 6;
-  // Per-round client collection window (§3.1): both drivers pay it; only the
-  // engine overlaps it with earlier rounds' processing ("while the first
-  // server is collecting messages for one round, other servers process
-  // previous rounds", §8.3). 2 s is 1/100 of the paper's ~3.5-minute round
+  // Per-round client collection window (§3.1): every row pays it; only K > 1
+  // overlaps it with earlier rounds' processing ("while the first server is
+  // collecting messages for one round, other servers process previous
+  // rounds", §8.3). 2 s is 1/100 of the paper's ~3.5-minute round
   // cadence at 1M users, matching the bench's 1/100 scale.
   const double kWindow = smoke ? 0.2 : 2.0;
-  // Warm-up (page cache, allocator arenas) so driver order doesn't bias the
+  // Warm-up (page cache, allocator arenas) so row order doesn't bias the
   // comparison.
-  bench::RunLockStepConversationRounds(kUsers, 3, kMu, 1, 4242);
-  bench::MultiRound lock_step =
-      bench::RunLockStepConversationRounds(kUsers, 3, kMu, kRounds, 4242, kWindow);
+  bench::RunPipelinedConversationRounds(kUsers, 3, kMu, 1, /*max_in_flight=*/1, 4242);
+  bench::MultiRound lock_step = bench::RunPipelinedConversationRounds(
+      kUsers, 3, kMu, kRounds, /*max_in_flight=*/1, 4242, kWindow);
   std::printf("  workload: %llu users, mu=%s, %llu rounds, %.1f s collection window, "
               "3 servers\n",
               static_cast<unsigned long long>(kUsers), bench::Human(kMu).c_str(),

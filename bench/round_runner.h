@@ -2,12 +2,12 @@
 // Workload (client-side onion wrapping) is generated outside the timed
 // region, mirroring §8.1 ("to ensure that clients are not the bottleneck").
 //
-// Two drivers share one workload shape:
-//  * the lock-step driver runs rounds one at a time through Chain — each
-//    round occupies every server for its whole duration (the seed behavior);
-//  * the pipelined driver pushes the same rounds through
-//    engine::RoundScheduler with K rounds in flight (§8.3), which is how the
-//    deployed system reaches its throughput numbers.
+// Every round runs through engine::RoundScheduler, the one round driver.
+// The lock-step baseline is its K=1 case — one round in the chain at a
+// time, each occupying every server for its whole duration — and the
+// pipelined rows keep K rounds in flight (§8.3), which is how the deployed
+// system reaches its throughput numbers. Both feed the same workload shape
+// through DrivePipelinedRounds.
 
 #ifndef VUVUZELA_BENCH_ROUND_RUNNER_H_
 #define VUVUZELA_BENCH_ROUND_RUNNER_H_
@@ -32,18 +32,17 @@ struct RealRound {
   uint64_t messages_exchanged = 0;
 };
 
-// Multi-round run through either driver.
+// Multi-round run through the engine at some K.
 struct MultiRound {
   uint64_t rounds = 0;
   uint64_t messages_exchanged = 0;
   double wall_seconds = 0.0;
   double messages_per_second = 0.0;
-  // Mean submit→complete latency of one round (pipelined: rounds overlap, so
+  // Mean submit→complete latency of one round (K > 1: rounds overlap, so
   // this exceeds wall_seconds / rounds; that gap is the pipelining win).
   double mean_round_seconds = 0.0;
-  // Latency distribution tails (same submit→complete metric; the pipelined
-  // drivers record per-round latencies, the lock-step driver derives them
-  // from each round's stats). What BENCH_engine.json tracks per commit.
+  // Latency distribution tails (same submit→complete metric, recorded by
+  // the scheduler per round). What BENCH_engine.json tracks per commit.
   double p50_round_seconds = 0.0;
   double p99_round_seconds = 0.0;
 };
@@ -60,6 +59,12 @@ inline mixnet::Chain MakeBenchChain(size_t servers, double mu, uint64_t seed,
   config.exchange_shards = 0;  // one dead-drop shard per pool worker
   util::Xoshiro256Rng rng(seed);
   return mixnet::Chain::Create(config, rng);
+}
+
+// The engine at K=1 over a chain's in-process servers: lock-step rounds.
+inline engine::RoundScheduler LockStepScheduler(mixnet::Chain& chain) {
+  return engine::RoundScheduler(transport::MakeLocalTransports(chain.servers()),
+                                {.max_in_flight = 1});
 }
 
 // Pre-wraps `rounds` per-round onion batches (round numbers 1..rounds).
@@ -89,8 +94,9 @@ inline RealRound RunRealConversationRound(uint64_t users, size_t servers, double
   std::vector<util::Bytes> onions =
       sim::GenerateConversationWorkload(workload, chain.public_keys(), 1);
 
+  engine::RoundScheduler scheduler = LockStepScheduler(chain);
   auto start = std::chrono::steady_clock::now();
-  auto result = chain.RunConversationRound(1, std::move(onions));
+  auto result = scheduler.SubmitConversation(1, std::move(onions)).get();
   double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   RealRound out;
@@ -101,54 +107,32 @@ inline RealRound RunRealConversationRound(uint64_t users, size_t servers, double
   return out;
 }
 
-// Lock-step baseline: one round at a time, the whole chain per round.
-// `collection_window_seconds` models the per-round client-submission epoch
-// (§3.1: the first server "announces the round and collects requests" for a
-// fixed window before closing the batch); the lock-step chain sits idle for
-// it, which is exactly the §8.3 motivation for pipelining.
-inline MultiRound RunLockStepConversationRounds(uint64_t users, size_t servers, double mu,
-                                                uint64_t rounds, uint64_t seed,
-                                                double collection_window_seconds = 0.0) {
-  mixnet::Chain chain = MakeBenchChain(servers, mu, seed);
-  sim::ClientKeyRing key_ring(users, seed);
-  chain.PrimeSecretCaches(key_ring.public_keys());  // key ceremony, untimed
-  auto batches = MakeConversationBatches(users, chain.public_keys(), rounds, seed, &key_ring);
-
-  MultiRound out;
-  out.rounds = rounds;
-  std::vector<double> latencies;
-  latencies.reserve(rounds);
-  auto start = std::chrono::steady_clock::now();
-  for (uint64_t round = 1; round <= rounds; ++round) {
-    if (collection_window_seconds > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(collection_window_seconds));
-    }
-    auto result = chain.RunConversationRound(round, std::move(batches[round - 1]));
-    out.messages_exchanged += result.messages_exchanged;
-    out.mean_round_seconds += result.stats.total_seconds();
-    latencies.push_back(result.stats.total_seconds());
-  }
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  out.messages_per_second = out.messages_exchanged / out.wall_seconds;
-  out.mean_round_seconds /= rounds;
-  out.p50_round_seconds = Percentile(latencies, 50);
-  out.p99_round_seconds = Percentile(std::move(latencies), 99);
-  return out;
-}
-
-// Shared body of the pipelined drivers: feed pre-wrapped per-round batches
-// through a scheduler with the per-round collection window, drain, and
-// aggregate throughput/latency.
-inline MultiRound DrivePipelinedRounds(engine::RoundScheduler& scheduler,
+// Shared body of every multi-round driver: feed pre-wrapped per-round
+// batches through the engine over `hops` with K = `max_in_flight`, drain,
+// and aggregate throughput/latency. `collection_window_seconds` models the
+// per-round client-submission epoch (§3.1: the first server "announces the
+// round and collects requests" for a fixed window before closing the batch).
+// The round being collected holds one of the K slots, so round r's window
+// opens once round r-K has left the pipeline: at K=1 the chain sits idle
+// through every window (lock-step); at larger K the window overlaps the
+// passes of the K-1 rounds ahead of it — "while the first server is
+// collecting messages for one round, other servers process previous rounds"
+// (§8.3).
+inline MultiRound DrivePipelinedRounds(std::vector<std::unique_ptr<transport::HopTransport>> hops,
+                                       size_t max_in_flight,
                                        std::vector<std::vector<util::Bytes>> batches,
                                        double collection_window_seconds) {
+  engine::RoundScheduler scheduler(std::move(hops),
+                                   {.max_in_flight = max_in_flight, .record_latencies = true});
   MultiRound out;
   out.rounds = batches.size();
   std::vector<std::future<mixnet::Chain::ConversationResult>> futures;
   futures.reserve(batches.size());
   auto start = std::chrono::steady_clock::now();
   for (uint64_t round = 1; round <= batches.size(); ++round) {
+    if (round > max_in_flight) {
+      futures[round - 1 - max_in_flight].wait();
+    }
     if (collection_window_seconds > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(collection_window_seconds));
     }
@@ -171,11 +155,8 @@ inline MultiRound DrivePipelinedRounds(engine::RoundScheduler& scheduler,
   return out;
 }
 
-// Pipelined driver: same chain configuration, workload shape, and per-round
-// collection window, K rounds in flight through the engine. The window
-// overlaps with earlier rounds' processing — "while the first server is
-// collecting messages for one round, other servers process previous rounds"
-// (§8.3).
+// In-process driver: K rounds in flight through the engine, K=1 being the
+// lock-step baseline.
 inline MultiRound RunPipelinedConversationRounds(uint64_t users, size_t servers, double mu,
                                                  uint64_t rounds, size_t max_in_flight,
                                                  uint64_t seed,
@@ -184,9 +165,8 @@ inline MultiRound RunPipelinedConversationRounds(uint64_t users, size_t servers,
   sim::ClientKeyRing key_ring(users, seed);
   chain.PrimeSecretCaches(key_ring.public_keys());  // key ceremony, untimed
   auto batches = MakeConversationBatches(users, chain.public_keys(), rounds, seed, &key_ring);
-  engine::RoundScheduler scheduler(chain,
-                                   {.max_in_flight = max_in_flight, .record_latencies = true});
-  return DrivePipelinedRounds(scheduler, std::move(batches), collection_window_seconds);
+  return DrivePipelinedRounds(transport::MakeLocalTransports(chain.servers()), max_in_flight,
+                              std::move(batches), collection_window_seconds);
 }
 
 // TCP-transport driver: the same engine and workload shape, but every stage
@@ -215,9 +195,8 @@ inline MultiRound RunTcpPipelinedConversationRounds(uint64_t users, size_t serve
   if (transports.empty()) {
     return {};
   }
-  engine::RoundScheduler scheduler(std::move(transports),
-                                   {.max_in_flight = max_in_flight, .record_latencies = true});
-  return DrivePipelinedRounds(scheduler, std::move(batches), collection_window_seconds);
+  return DrivePipelinedRounds(std::move(transports), max_in_flight, std::move(batches),
+                              collection_window_seconds);
 }
 
 inline RealRound RunRealDialingRound(uint64_t users, size_t servers, double mu,
@@ -229,8 +208,9 @@ inline RealRound RunRealDialingRound(uint64_t users, size_t servers, double mu,
   std::vector<util::Bytes> onions =
       sim::GenerateDialingWorkload(workload, chain.public_keys(), 1, dial_config, dial_fraction);
 
+  engine::RoundScheduler scheduler = LockStepScheduler(chain);
   auto start = std::chrono::steady_clock::now();
-  auto result = chain.RunDialingRound(1, std::move(onions), total_drops);
+  auto result = scheduler.SubmitDialing(1, std::move(onions), total_drops).get();
   double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   RealRound out;

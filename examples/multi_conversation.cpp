@@ -35,31 +35,43 @@ int main() {
   dep.client(alice).Dial(dep.client(carol).public_key());
   dep.RunDialingRound();
   dep.RunDialingRound();
-  dep.client(bob).AcceptCall(dep.client(alice).public_key());
-  dep.client(carol).AcceptCall(dep.client(alice).public_key());
+  for (size_t callee : {bob, carol}) {
+    auto calls = dep.client(callee).TakeIncomingCalls();
+    if (calls.size() != 1 || calls[0].caller != dep.client(alice).public_key()) {
+      std::fprintf(stderr, "FAIL: alice's invitation did not reach client %zu\n", callee);
+      return 1;
+    }
+    dep.client(callee).AcceptCall(calls[0].caller);
+  }
   std::printf("alice now has %zu active conversations; her per-round traffic is the same\n"
               "as an idle client's (always exactly 2 exchange onions).\n\n",
               dep.client(alice).active_conversations());
 
   // She talks to both in the same rounds; Bob also sends a long message that
   // splits across three rounds.
-  dep.client(alice).SendMessage(dep.client(bob).public_key(), Msg("bob: status?"));
-  dep.client(alice).SendMessage(dep.client(carol).public_key(), Msg("carol: ping"));
+  const std::string to_bob = "bob: status?";
+  const std::string to_carol = "carol: ping";
+  dep.client(alice).SendMessage(dep.client(bob).public_key(), Msg(to_bob));
+  dep.client(alice).SendMessage(dep.client(carol).public_key(), Msg(to_carol));
   std::string longtext(500, 'x');
   const char kLabel[] = "[500-byte report] ";
   longtext.replace(0, sizeof(kLabel) - 1, kLabel);  // overwrite, keep length
   dep.client(bob).SendMessage(dep.client(alice).public_key(), Msg(longtext));
 
   util::Bytes reassembled;
+  bool bob_got_it = false;
+  bool carol_got_it = false;
   for (int round = 1; round <= 5; ++round) {
     dep.RunConversationRound();
     for (const auto& m : dep.client(bob).TakeReceivedMessages()) {
-      std::printf("round %d: bob   <- \"%s\"\n", round,
-                  std::string(m.payload.begin(), m.payload.end()).c_str());
+      std::string text(m.payload.begin(), m.payload.end());
+      std::printf("round %d: bob   <- \"%s\"\n", round, text.c_str());
+      bob_got_it |= text == to_bob;
     }
     for (const auto& m : dep.client(carol).TakeReceivedMessages()) {
-      std::printf("round %d: carol <- \"%s\"\n", round,
-                  std::string(m.payload.begin(), m.payload.end()).c_str());
+      std::string text(m.payload.begin(), m.payload.end());
+      std::printf("round %d: carol <- \"%s\"\n", round, text.c_str());
+      carol_got_it |= text == to_carol;
     }
     for (const auto& m : dep.client(alice).TakeReceivedMessages()) {
       util::Append(reassembled, m.payload);
@@ -68,7 +80,11 @@ int main() {
     }
   }
   std::printf("\nbob's 500-byte message reassembled: %s\n",
-              reassembled.size() == 500 ? "complete" : "INCOMPLETE");
+              reassembled == Msg(longtext) ? "complete" : "INCOMPLETE");
+  if (!bob_got_it || !carol_got_it || reassembled != Msg(longtext)) {
+    std::fprintf(stderr, "FAIL: a message was not delivered\n");
+    return 1;
+  }
 
   // Slot eviction: dialing Dave with both slots in use ends the oldest
   // conversation (with Bob).

@@ -46,13 +46,21 @@ int main() {
 
   auto calls = dep.client(bob).TakeIncomingCalls();
   std::printf("Bob's client found %zu invitation(s) in its dead drop\n", calls.size());
-  dep.client(bob).AcceptCall(calls.at(0).caller);
+  if (calls.size() != 1 || calls[0].caller != dep.client(alice).public_key()) {
+    std::fprintf(stderr, "FAIL: alice's invitation did not reach bob\n");
+    return 1;
+  }
+  dep.client(bob).AcceptCall(calls[0].caller);
 
   // 2. They chat. Every online client sends exactly one fixed-size request
   //    per round whether or not it has anything to say.
-  dep.client(alice).SendMessage(dep.client(bob).public_key(), Msg("hey bob, it's alice"));
-  dep.client(bob).SendMessage(dep.client(alice).public_key(), Msg("alice! loud and clear"));
+  const std::string to_bob = "hey bob, it's alice";
+  const std::string to_alice = "alice! loud and clear";
+  dep.client(alice).SendMessage(dep.client(bob).public_key(), Msg(to_bob));
+  dep.client(bob).SendMessage(dep.client(alice).public_key(), Msg(to_alice));
 
+  bool bob_got_it = false;
+  bool alice_got_it = false;
   for (int round = 0; round < 2; ++round) {
     auto result = dep.RunConversationRound();
     std::printf("round %d: %llu dead drops paired (real + noise), %llu singles\n", round + 1,
@@ -60,10 +68,16 @@ int main() {
                 static_cast<unsigned long long>(result.histogram.singles));
     for (const auto& m : dep.client(bob).TakeReceivedMessages()) {
       std::printf("  bob   <- %s\n", Str(m.payload).c_str());
+      bob_got_it |= Str(m.payload) == to_bob;
     }
     for (const auto& m : dep.client(alice).TakeReceivedMessages()) {
       std::printf("  alice <- %s\n", Str(m.payload).c_str());
+      alice_got_it |= Str(m.payload) == to_alice;
     }
+  }
+  if (!bob_got_it || !alice_got_it) {
+    std::fprintf(stderr, "FAIL: a message was not delivered\n");
+    return 1;
   }
 
   std::printf("\nbandwidth: alice sent %llu B, received %llu B\n",

@@ -15,8 +15,12 @@
 
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
+#include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
 #include "src/noise/privacy.h"
+#include "src/sim/adversary.h"
+#include "src/transport/hop_chain.h"
+#include "src/transport/tap_transport.h"
 #include "src/util/random.h"
 
 using namespace vuvuzela;
@@ -62,8 +66,16 @@ WorldResult RunWorld(bool talking, uint64_t seed) {
     add_request(conversation::BuildFakeExchangeRequest(b, 1, rng));
   }
 
-  auto result = chain.RunConversationRound(1, std::move(onions));
-  return WorldResult{result.histogram.singles, result.histogram.pairs};
+  // The adversary's view is what a tap on the compromised last server sees.
+  const size_t last = config.num_servers - 1;
+  sim::AdversaryObserver adversary({last});
+  adversary.set_last_position(last);
+  engine::RoundScheduler scheduler(
+      transport::TapTransports(transport::MakeLocalTransports(chain.servers()), adversary),
+      {.max_in_flight = 1});
+  scheduler.SubmitConversation(1, std::move(onions)).get();
+  const deaddrop::AccessHistogram& view = adversary.histograms().at(0).histogram;
+  return WorldResult{view.singles, view.pairs};
 }
 
 }  // namespace

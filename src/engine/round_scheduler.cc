@@ -134,21 +134,9 @@ struct RoundScheduler::DialingContext {
 
 // --- RoundScheduler ---------------------------------------------------------
 
-RoundScheduler::RoundScheduler(mixnet::Chain& chain, SchedulerConfig config)
-    : chain_(&chain), config_(config) {
-  for (size_t i = 0; i < chain.size(); ++i) {
-    hops_.push_back(std::make_unique<transport::LocalTransport>(chain.server(i)));
-  }
-  Init();
-}
-
 RoundScheduler::RoundScheduler(std::vector<std::unique_ptr<transport::HopTransport>> hops,
-                               SchedulerConfig config, mixnet::ChainObserver* observer)
-    : hops_(std::move(hops)), observer_(observer), config_(config) {
-  Init();
-}
-
-void RoundScheduler::Init() {
+                               SchedulerConfig config)
+    : hops_(std::move(hops)), config_(config) {
   if (hops_.empty()) {
     throw std::invalid_argument("RoundScheduler: need at least one hop");
   }
@@ -316,17 +304,8 @@ void RoundScheduler::PostConversationForward(std::shared_ptr<ConversationContext
       // round can never be expired, whatever the round numbering gaps.
       // (Remote hops piggyback this on the forward request.)
       hop.ExpireRounds(ExpiryHorizon(), config_.expire_keep);
-
-      mixnet::ChainObserver* obs = observer();
-      std::vector<util::Bytes> input_copy;
-      if (obs) {
-        input_copy = ctx->batch;
-      }
       ctx->batch = hop.ForwardConversation(ctx->round, std::move(ctx->batch),
                                            &ctx->result.stats.forward[position]);
-      if (obs) {
-        obs->OnForwardPass(position, ctx->round, input_copy, ctx->batch);
-      }
     } catch (...) {
       FailConversation(std::move(ctx), std::current_exception());
       return;
@@ -352,21 +331,12 @@ void RoundScheduler::PostConversationLastHop(std::shared_ptr<ConversationContext
       if (config_.lifecycle) {
         config_.lifecycle->EnterExchange(ctx->round);
       }
-      mixnet::ChainObserver* obs = observer();
-      std::vector<util::Bytes> input_copy;
-      if (obs) {
-        input_copy = ctx->batch;
-      }
       mixnet::MixServer::LastServerResult last_result =
           hops_[last]->ProcessConversationLastHop(ctx->round, std::move(ctx->batch),
                                                   &ctx->result.stats.forward[last]);
       ctx->result.histogram = last_result.histogram;
       ctx->result.messages_exchanged = last_result.messages_exchanged;
       ctx->batch = std::move(last_result.responses);
-      if (obs) {
-        obs->OnForwardPass(last, ctx->round, input_copy, ctx->batch);
-        obs->OnDeadDrops(ctx->round, ctx->result.histogram);
-      }
       ctx->result.stats.forward_seconds = SecondsSince(ctx->forward_start);
       ctx->backward_start = Clock::now();
     } catch (...) {
@@ -460,16 +430,8 @@ void RoundScheduler::PostDialingForward(std::shared_ptr<DialingContext> ctx, siz
       if (config_.lifecycle) {
         config_.lifecycle->EnterForward(ctx->round, position);
       }
-      mixnet::ChainObserver* obs = observer();
-      std::vector<util::Bytes> input_copy;
-      if (obs) {
-        input_copy = ctx->batch;
-      }
       ctx->batch = hops_[position]->ForwardDialing(ctx->round, std::move(ctx->batch),
                                                    ctx->num_drops, &ctx->stats.forward[position]);
-      if (obs) {
-        obs->OnForwardPass(position, ctx->round, input_copy, ctx->batch);
-      }
     } catch (...) {
       FailDialing(std::move(ctx), std::current_exception());
       return;
@@ -551,42 +513,6 @@ void RoundScheduler::CompleteDialing(std::shared_ptr<DialingContext> ctx) {
       ctx->table.has_value() ? std::move(*ctx->table) : deaddrop::InvitationTable(ctx->num_drops);
   Release(/*failed=*/false, 0.0, /*dialing=*/true);
   ctx->promise.set_value(mixnet::Chain::DialingResult{std::move(table), std::move(ctx->stats)});
-}
-
-// --- Schedule driver --------------------------------------------------------
-
-RoundScheduler::ScheduleResult RoundScheduler::RunSchedule(
-    coord::RoundSchedule& schedule, uint64_t total_rounds,
-    const std::function<std::vector<util::Bytes>(const wire::RoundAnnouncement&)>& workload) {
-  ScheduleResult out;
-  std::vector<std::future<mixnet::Chain::ConversationResult>> conversation_futures;
-  std::vector<std::future<mixnet::Chain::DialingResult>> dialing_futures;
-
-  auto start = Clock::now();
-  for (uint64_t i = 0; i < total_rounds; ++i) {
-    wire::RoundAnnouncement announcement = schedule.Next();
-    std::vector<util::Bytes> onions = workload(announcement);
-    if (announcement.type == wire::RoundType::kConversation) {
-      conversation_futures.push_back(SubmitConversation(announcement.round, std::move(onions)));
-    } else {
-      dialing_futures.push_back(
-          SubmitDialing(announcement.round, std::move(onions), announcement.num_dial_dead_drops));
-    }
-  }
-  Drain();
-  out.wall_seconds = SecondsSince(start);
-
-  out.conversation_rounds = conversation_futures.size();
-  out.dialing_rounds = dialing_futures.size();
-  for (auto& f : conversation_futures) {
-    out.messages_exchanged += f.get().messages_exchanged;
-  }
-  for (auto& f : dialing_futures) {
-    f.get();  // propagate failures
-  }
-  out.messages_per_second =
-      out.wall_seconds > 0 ? static_cast<double>(out.messages_exchanged) / out.wall_seconds : 0.0;
-  return out;
 }
 
 }  // namespace vuvuzela::engine

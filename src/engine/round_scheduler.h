@@ -1,11 +1,13 @@
-// Pipelined round engine (§8.3).
+// The round engine (§8.3): the one driver every round runs through.
 //
 // The paper's headline throughput (68,000 messages/sec at 1M users) does not
 // come from making one round faster — a round is latency-bound by the chain's
 // sequential passes — but from overlapping rounds: "the Vuvuzela servers
 // pipeline rounds: while the first server is collecting messages for one
-// round, other servers process previous rounds" (§8.3). The seed's Chain is
-// lock-step: RunConversationRound occupies every server for the whole round.
+// round, other servers process previous rounds" (§8.3). Lock-step execution,
+// one round occupying the whole chain at a time, is the K=1 case of the same
+// engine: sim::Deployment, the tests' and benches' lock-step rounds and the
+// deployed coordinator all drive rounds here.
 //
 // RoundScheduler gives each server its own stage worker thread and moves a
 // round across them: round r's forward pass at server 1 runs concurrently
@@ -38,11 +40,13 @@
 //
 // Each stage drives a transport::HopTransport rather than a MixServer
 // directly, so the same pipelining discipline runs over in-process servers
-// (LocalTransport — the Chain constructor below builds these) or remote
-// per-hop daemons (TcpTransport, §7's one-process-per-server deployment). A
-// hop that times out or fails surfaces through the round's future as a
-// transport::HopError; the slot is released and the expiry path reclaims the
-// abandoned round's state at the surviving hops.
+// (LocalTransport; transport::MakeLocalTransports builds them for a chain's
+// servers) or remote per-hop daemons (TcpTransport, §7's one-process-per-
+// server deployment). Decorators compose at this seam: transport::TapTransport
+// reports each pass to a mixnet::ChainObserver (compromised-server
+// modelling). A hop that times out or fails surfaces through the round's
+// future as a transport::HopError; the slot is released and the expiry path
+// reclaims the abandoned round's state at the surviving hops.
 
 #ifndef VUVUZELA_SRC_ENGINE_ROUND_SCHEDULER_H_
 #define VUVUZELA_SRC_ENGINE_ROUND_SCHEDULER_H_
@@ -58,7 +62,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/coord/coordinator.h"
 #include "src/coord/distributor.h"
 #include "src/engine/round_lifecycle.h"
 #include "src/mixnet/chain.h"
@@ -72,9 +75,9 @@ class Histogram;
 namespace vuvuzela::engine {
 
 struct SchedulerConfig {
-  // K: rounds admitted into the pipeline at once. 1 degenerates to the
-  // lock-step driver; the paper's deployment keeps a few rounds in flight
-  // (one per chain stage plus the collection window).
+  // K: rounds admitted into the pipeline at once. 1 is lock-step (one round
+  // in the chain at a time); the paper's deployment keeps a few rounds in
+  // flight (one per chain stage plus the collection window).
   size_t max_in_flight = 3;
   // Forward stages drop per-round state older than this many conversation
   // rounds behind the newest admitted round. 0 derives a safe default
@@ -120,17 +123,11 @@ struct SchedulerStats {
 
 class RoundScheduler {
  public:
-  // The chain must outlive the scheduler. The chain's observer (if any) is
-  // invoked from stage worker threads: per-server callbacks are serialized,
-  // but callbacks for different servers run concurrently. Stages drive the
-  // chain's servers through LocalTransports.
-  explicit RoundScheduler(mixnet::Chain& chain, SchedulerConfig config = {});
-
-  // Transport-backed construction: hops_[i] is stage i's backend — local
-  // servers, remote daemons, or a mix. `observer` (optional) sees batches as
-  // they cross stage boundaries, same contract as the chain observer.
-  RoundScheduler(std::vector<std::unique_ptr<transport::HopTransport>> hops,
-                 SchedulerConfig config = {}, mixnet::ChainObserver* observer = nullptr);
+  // hops[i] is stage i's backend: local servers, remote daemons, or a mix,
+  // each possibly decorated (TapTransport). Stage i's calls run on stage i's
+  // worker thread, one pass at a time.
+  explicit RoundScheduler(std::vector<std::unique_ptr<transport::HopTransport>> hops,
+                          SchedulerConfig config = {});
 
   ~RoundScheduler();
 
@@ -158,24 +155,6 @@ class RoundScheduler {
   size_t in_flight() const;
   SchedulerStats stats() const;
 
-  // Schedule-interleave driver: announces `total_rounds` rounds from
-  // `schedule` — interleaving a dialing round every
-  // `schedule.conversation_rounds_per_dialing_round` conversation rounds —
-  // feeding each from `workload`, keeping K in flight, and draining at the
-  // end. (The benches use their own drivers in bench/round_runner.h, which
-  // additionally model the per-round client collection window.)
-  struct ScheduleResult {
-    uint64_t conversation_rounds = 0;
-    uint64_t dialing_rounds = 0;
-    uint64_t messages_exchanged = 0;
-    double wall_seconds = 0.0;
-    // messages_exchanged / wall_seconds; the paper's throughput metric.
-    double messages_per_second = 0.0;
-  };
-  ScheduleResult RunSchedule(
-      coord::RoundSchedule& schedule, uint64_t total_rounds,
-      const std::function<std::vector<util::Bytes>(const wire::RoundAnnouncement&)>& workload);
-
  private:
   // One queue+thread per server: the stage-serialization unit.
   class StageWorker {
@@ -202,13 +181,7 @@ class RoundScheduler {
   struct DialingContext;
 
   size_t num_stages() const { return hops_.size(); }
-  // Chain-constructed schedulers look the observer up dynamically (tests
-  // swap it mid-lifetime); transport-constructed ones hold it directly.
-  mixnet::ChainObserver* observer() const {
-    return chain_ != nullptr ? chain_->observer() : observer_;
-  }
 
-  void Init();
   void Admit();
   void Release(bool failed, double latency_seconds, bool dialing);
   void RemoveActiveRound(uint64_t round);
@@ -232,8 +205,6 @@ class RoundScheduler {
   void FailDialing(std::shared_ptr<DialingContext> ctx, std::exception_ptr error);
 
   std::vector<std::unique_ptr<transport::HopTransport>> hops_;
-  mixnet::Chain* chain_ = nullptr;        // set only by the Chain constructor
-  mixnet::ChainObserver* observer_ = nullptr;
   SchedulerConfig config_;
   std::vector<std::unique_ptr<StageWorker>> workers_;
   // The Distribute stage's serialization unit (distribution backend set):

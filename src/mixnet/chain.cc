@@ -1,14 +1,9 @@
 #include "src/mixnet/chain.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
-#include "src/util/stats.h"
-
 namespace vuvuzela::mixnet {
-
-using util::SecondsSince;
 
 uint64_t RoundStats::total_dh_ops() const {
   uint64_t total = 0;
@@ -66,77 +61,6 @@ Chain Chain::Create(const ChainConfig& config, util::Rng& rng) {
                                                          chain.public_keys_, seed));
   }
   return chain;
-}
-
-Chain::ConversationResult Chain::RunConversationRound(uint64_t round,
-                                                      std::vector<util::Bytes> onions) {
-  ConversationResult result;
-  result.stats.forward.resize(servers_.size());
-  result.stats.backward.resize(servers_.size() > 0 ? servers_.size() - 1 : 0);
-
-  auto forward_start = std::chrono::steady_clock::now();
-  std::vector<util::Bytes> batch = std::move(onions);
-  for (size_t i = 0; i + 1 < servers_.size(); ++i) {
-    std::vector<util::Bytes> input_copy;
-    if (observer_) {
-      input_copy = batch;
-    }
-    batch = servers_[i]->ForwardConversation(round, std::move(batch), &result.stats.forward[i]);
-    if (observer_) {
-      observer_->OnForwardPass(i, round, input_copy, batch);
-    }
-  }
-
-  size_t last = servers_.size() - 1;
-  std::vector<util::Bytes> last_input;
-  if (observer_) {
-    last_input = batch;
-  }
-  MixServer::LastServerResult last_result = servers_[last]->ProcessConversationLastHop(
-      round, std::move(batch), &result.stats.forward[last]);
-  result.histogram = last_result.histogram;
-  result.messages_exchanged = last_result.messages_exchanged;
-  if (observer_) {
-    observer_->OnForwardPass(last, round, last_input, last_result.responses);
-    observer_->OnDeadDrops(round, last_result.histogram);
-  }
-  result.stats.forward_seconds = SecondsSince(forward_start);
-
-  auto backward_start = std::chrono::steady_clock::now();
-  std::vector<util::Bytes> responses = std::move(last_result.responses);
-  for (size_t i = servers_.size() - 1; i-- > 0;) {
-    responses =
-        servers_[i]->BackwardConversation(round, std::move(responses), &result.stats.backward[i]);
-  }
-  result.stats.backward_seconds = SecondsSince(backward_start);
-
-  result.responses = std::move(responses);
-  return result;
-}
-
-Chain::DialingResult Chain::RunDialingRound(uint64_t round, std::vector<util::Bytes> onions,
-                                            uint32_t num_drops) {
-  RoundStats stats;
-  stats.forward.resize(servers_.size());
-
-  auto start = std::chrono::steady_clock::now();
-  std::vector<util::Bytes> batch = std::move(onions);
-  for (size_t i = 0; i + 1 < servers_.size(); ++i) {
-    std::vector<util::Bytes> input_copy;
-    if (observer_) {
-      input_copy = batch;
-    }
-    batch = servers_[i]->ForwardDialing(round, std::move(batch), num_drops, &stats.forward[i]);
-    if (observer_) {
-      observer_->OnForwardPass(i, round, input_copy, batch);
-    }
-  }
-  size_t last = servers_.size() - 1;
-  deaddrop::InvitationTable table = servers_[last]->ProcessDialingLastHop(
-      round, std::move(batch), num_drops, &stats.forward[last]);
-  stats.forward_seconds = SecondsSince(start);
-
-  return DialingResult{std::move(table), std::move(stats)};
 }
 
 }  // namespace vuvuzela::mixnet

@@ -1,14 +1,14 @@
 // The Vuvuzela server chain (§3).
 //
-// Drives a round through every server: forward passes in order, the dead-drop
-// stage at the last server, then backward passes in reverse. Servers cannot
-// pipeline within a round — "one server cannot start processing a round until
-// the previous server finishes" (§8.2) — so wall-clock round latency is the
-// sum of per-server stage times, which is what the chain reports to benches.
+// Chain owns an in-process chain's servers and their long-term keys; it does
+// not drive rounds. engine::RoundScheduler does, over one HopTransport per
+// server (transport::MakeLocalTransports(chain.servers()) for these), and
+// lock-step is its K=1 case. The round result types live here because every
+// backend — in-process, TCP hop daemons — produces the same ones.
 //
-// An optional ChainObserver receives each server's input/output batches and
-// the last server's dead-drop view, which is how tests and benches model a
-// subset of compromised servers.
+// A ChainObserver receives each server's input/output batches and the last
+// server's dead-drop view through transport::TapTransport, which is how
+// tests and benches model a subset of compromised servers.
 
 #ifndef VUVUZELA_SRC_MIXNET_CHAIN_H_
 #define VUVUZELA_SRC_MIXNET_CHAIN_H_
@@ -35,7 +35,8 @@ class ChainObserver {
     (void)output;
   }
 
-  // Called with the last server's observable variables for the round.
+  // Called with the last server's observable variables for a conversation
+  // round.
   virtual void OnDeadDrops(uint64_t round, const deaddrop::AccessHistogram& histogram) {
     (void)round;
     (void)histogram;
@@ -65,7 +66,6 @@ struct RoundStats {
   double forward_seconds = 0.0;
   double backward_seconds = 0.0;
 
-  double total_seconds() const { return forward_seconds + backward_seconds; }
   uint64_t total_dh_ops() const;
   uint64_t total_bytes() const;
 };
@@ -78,6 +78,7 @@ class Chain {
   size_t size() const { return servers_.size(); }
   const std::vector<crypto::X25519PublicKey>& public_keys() const { return public_keys_; }
   MixServer& server(size_t i) { return *servers_[i]; }
+  const std::vector<std::unique_ptr<MixServer>>& servers() const { return servers_; }
 
   // Warms every server's shared-secret cache for a static client population
   // (sim::ClientKeyRing::public_keys()) so the first round pays no DH storm.
@@ -87,9 +88,6 @@ class Chain {
     }
   }
 
-  void set_observer(ChainObserver* observer) { observer_ = observer; }
-  ChainObserver* observer() const { return observer_; }
-
   struct ConversationResult {
     // responses[i] answers onions[i]; onion-sealed once per server.
     std::vector<util::Bytes> responses;
@@ -97,22 +95,17 @@ class Chain {
     uint64_t messages_exchanged = 0;
     RoundStats stats;
   };
-  ConversationResult RunConversationRound(uint64_t round, std::vector<util::Bytes> onions);
 
   struct DialingResult {
     deaddrop::InvitationTable table;
     RoundStats stats;
   };
-  // `num_drops` counts all invitation dead drops including the no-op drop.
-  DialingResult RunDialingRound(uint64_t round, std::vector<util::Bytes> onions,
-                                uint32_t num_drops);
 
  private:
   Chain() = default;
 
   std::vector<std::unique_ptr<MixServer>> servers_;
   std::vector<crypto::X25519PublicKey> public_keys_;
-  ChainObserver* observer_ = nullptr;
 };
 
 }  // namespace vuvuzela::mixnet

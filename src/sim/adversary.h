@@ -9,6 +9,10 @@
 //    view is invariant under swaps of who talks to whom;
 //  * the only last-server observables are m1 and m2 (plus sizes), never
 //    identities.
+//
+// The observer is fed by transport::TapTransport and is not synchronized:
+// tap several positions only under lock-step (K=1) rounds, whose passes run
+// one after another.
 
 #ifndef VUVUZELA_SRC_SIM_ADVERSARY_H_
 #define VUVUZELA_SRC_SIM_ADVERSARY_H_

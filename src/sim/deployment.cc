@@ -1,5 +1,9 @@
 #include "src/sim/deployment.h"
 
+#include <iterator>
+
+#include "src/transport/hop_chain.h"
+
 namespace vuvuzela::sim {
 
 namespace {
@@ -20,7 +24,7 @@ Deployment::Deployment(const DeploymentConfig& config)
     : config_(config),
       seed_rng_(config.seed),
       chain_(mixnet::Chain::Create(ToChainConfig(config), seed_rng_)),
-      entry_(&chain_),
+      scheduler_(transport::MakeLocalTransports(chain_.servers()), {.max_in_flight = 1}),
       dial_config_{.num_real_drops = config.num_real_dial_drops} {}
 
 size_t Deployment::AddClient() {
@@ -41,36 +45,30 @@ size_t Deployment::AddClient() {
 mixnet::Chain::ConversationResult Deployment::RunConversationRound() {
   uint64_t round = next_conversation_round_++;
 
-  // Entry server: collect every online client's onions, remembering slot
-  // ranges. Offline clients simply miss the round (§3.1).
+  // Entry server (§7): multiplex every online client's onions into one
+  // batch, remembering each client's slot range. Offline clients simply miss
+  // the round (§3.1).
+  std::vector<util::Bytes> batch;
   std::vector<std::pair<size_t, size_t>> slots(clients_.size(), {0, 0});  // [first, count]
   for (size_t c = 0; c < clients_.size(); ++c) {
     if (!IsClientOnline(c)) {
       continue;
     }
     std::vector<util::Bytes> onions = clients_[c]->PrepareConversationOnions(round);
-    size_t first = 0;
-    for (size_t i = 0; i < onions.size(); ++i) {
-      size_t slot = entry_.Submit(round, std::move(onions[i]));
-      if (i == 0) {
-        first = slot;
-      }
-    }
-    slots[c] = {first, onions.size()};
+    slots[c] = {batch.size(), onions.size()};
+    std::move(onions.begin(), onions.end(), std::back_inserter(batch));
   }
 
-  mixnet::Chain::ConversationResult result = entry_.CloseConversationRound(round);
+  mixnet::Chain::ConversationResult result =
+      scheduler_.SubmitConversation(round, std::move(batch)).get();
 
+  // Demultiplex: responses[i] answers batch[i].
   for (size_t c = 0; c < clients_.size(); ++c) {
-    if (slots[c].second == 0) {
-      continue;
+    auto [first, count] = slots[c];
+    if (count > 0) {
+      clients_[c]->HandleConversationResponses(
+          round, std::span<const util::Bytes>(result.responses).subspan(first, count));
     }
-    std::vector<util::Bytes> responses;
-    responses.reserve(slots[c].second);
-    for (size_t i = 0; i < slots[c].second; ++i) {
-      responses.push_back(entry_.TakeResponse(round, slots[c].first + i));
-    }
-    clients_[c]->HandleConversationResponses(round, responses);
   }
   return result;
 }
@@ -78,13 +76,14 @@ mixnet::Chain::ConversationResult Deployment::RunConversationRound() {
 Deployment::DialingRoundOutcome Deployment::RunDialingRound() {
   uint64_t round = next_dialing_round_++;
 
+  std::vector<util::Bytes> batch;
   for (size_t c = 0; c < clients_.size(); ++c) {
     if (IsClientOnline(c)) {
-      entry_.Submit(round, clients_[c]->PrepareDialOnion(round, dial_config_));
+      batch.push_back(clients_[c]->PrepareDialOnion(round, dial_config_));
     }
   }
   mixnet::Chain::DialingResult result =
-      entry_.CloseDialingRound(round, dial_config_.total_drops());
+      scheduler_.SubmitDialing(round, std::move(batch), dial_config_.total_drops()).get();
   distribution_->Publish(round, std::move(result.table));
 
   // Every online client downloads its whole invitation bucket each dialing

@@ -1,10 +1,17 @@
 // In-process Vuvuzela deployment (§8.1's testbed, as a library).
 //
-// Glues a server chain, an entry server, an invitation distributor, and any
-// number of full clients into a single-process system driven round by round.
-// Integration tests and the examples use this harness; the paper's EC2
-// deployment differs only in putting TCP between the same components (the
+// Glues a server chain, an invitation distributor, and any number of full
+// clients into a single-process system driven round by round. Integration
+// tests and the examples use this harness; the paper's EC2 deployment
+// differs only in putting TCP between the same components (the
 // examples/tcp_demo does exactly that).
+//
+// Deployment is a façade over the round engine, not a driver of its own: it
+// owns a lock-step (K=1) engine::RoundScheduler over its chain's servers,
+// plays the untrusted entry server itself (§7: multiplex every online
+// client's onions into one batch, demultiplex the responses by slot), and
+// publishes each dialing round's invitation table through the swappable
+// distribution backend.
 
 #ifndef VUVUZELA_SRC_SIM_DEPLOYMENT_H_
 #define VUVUZELA_SRC_SIM_DEPLOYMENT_H_
@@ -16,7 +23,7 @@
 #include "src/client/client.h"
 #include "src/coord/coordinator.h"
 #include "src/coord/distributor.h"
-#include "src/coord/entry_server.h"
+#include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
 
 namespace vuvuzela::sim {
@@ -66,12 +73,12 @@ class Deployment {
   coord::DistributionBackend& distribution() { return *distribution_; }
 
   // Runs one conversation round across all clients: collect onions, run the
-  // chain, deliver responses.
+  // round through the engine, deliver responses.
   mixnet::Chain::ConversationResult RunConversationRound();
 
-  // Runs one dialing round: collect dial onions, run the chain, publish the
-  // invitation table (via the distributor), and have every client download
-  // and scan its drop.
+  // Runs one dialing round: collect dial onions, run the round through the
+  // engine, publish the invitation table (via the distribution backend), and
+  // have every client download and scan its drop.
   struct DialingRoundOutcome {
     uint64_t round = 0;
     mixnet::RoundStats stats;
@@ -85,7 +92,7 @@ class Deployment {
   DeploymentConfig config_;
   util::Xoshiro256Rng seed_rng_;
   mixnet::Chain chain_;
-  coord::EntryServer entry_;
+  engine::RoundScheduler scheduler_;  // K=1 over chain_'s servers
   coord::InvitationDistributor distributor_;
   coord::DistributionBackend* distribution_ = &distributor_;
   dialing::RoundConfig dial_config_;

@@ -25,14 +25,14 @@ class Writer {
     buffer_.push_back(static_cast<uint8_t>(v));
   }
   void U32(uint32_t v) {
-    uint8_t tmp[4];
-    util::StoreBe32(tmp, v);
-    util::Append(buffer_, tmp);
+    const size_t n = buffer_.size();
+    buffer_.resize(n + 4);
+    util::StoreBe32(buffer_.data() + n, v);
   }
   void U64(uint64_t v) {
-    uint8_t tmp[8];
-    util::StoreBe64(tmp, v);
-    util::Append(buffer_, tmp);
+    const size_t n = buffer_.size();
+    buffer_.resize(n + 8);
+    util::StoreBe64(buffer_.data() + n, v);
   }
   void Raw(util::ByteSpan data) { util::Append(buffer_, data); }
   // Length-prefixed variable bytes.

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
@@ -12,6 +13,7 @@
 #include "src/noise/laplace.h"
 #include "src/sim/adversary.h"
 #include "src/util/random.h"
+#include "tests/lock_step.h"
 
 namespace vuvuzela::sim {
 namespace {
@@ -64,7 +66,7 @@ TEST(Adversary, LastServerHistogramInvariantAcrossWorlds) {
       world.users.push_back(crypto::X25519KeyPair::Generate(rng));
     }
     auto onions = BuildRoundOnions(world, 1, pair, rng);
-    return world.chain.RunConversationRound(1, std::move(onions));
+    return testutil::LockStepConversation(world.chain, 1, std::move(onions));
   };
 
   auto world_a = run_world({0, 1}, 42);
@@ -84,17 +86,16 @@ TEST(Adversary, AllRequestsIndistinguishableAtEveryHop) {
   }
   AdversaryObserver observer({0, 1, 2});
   observer.set_last_position(2);
-  world.chain.set_observer(&observer);
 
   auto onions = BuildRoundOnions(world, 1, {2, 5}, rng);
-  world.chain.RunConversationRound(1, std::move(onions));
+  testutil::LockStepConversation(world.chain, 1, std::move(onions), &observer);
 
   for (const auto& pass : observer.passes()) {
-    std::set<util::Bytes> unique;
+    std::set<std::string> unique;
     for (const auto& blob : pass.input) {
       EXPECT_EQ(blob.size(), pass.input.front().size())
           << "position " << pass.position << ": non-uniform request size";
-      unique.insert(blob);
+      unique.emplace(blob.begin(), blob.end());
     }
     EXPECT_EQ(unique.size(), pass.input.size()) << "duplicate ciphertexts leak structure";
   }
@@ -116,7 +117,6 @@ TEST(Adversary, HonestServerShufflesCompromisedOnesPreserveOrder) {
   }
   AdversaryObserver observer({2});
   observer.set_last_position(2);
-  world.chain.set_observer(&observer);
 
   auto onions = BuildRoundOnions(world, 1, {0, 1}, rng);
   // Tag: remember the onions' order by size-equal but content-distinct blobs;
@@ -124,7 +124,7 @@ TEST(Adversary, HonestServerShufflesCompromisedOnesPreserveOrder) {
   // possible here, so instead check the batch the last server receives has
   // the same count and — with no noise and no mixing — the i-th input's
   // peeled onion equals the i-th forwarded item.
-  auto result = world.chain.RunConversationRound(1, std::move(onions));
+  auto result = testutil::LockStepConversation(world.chain, 1, std::move(onions), &observer);
   // Only the compromised last server's pass is recorded.
   ASSERT_EQ(observer.passes().size(), 1u);
   const auto& last_input = observer.passes()[0].input;
@@ -142,7 +142,6 @@ TEST(Adversary, MixingChangesOrderWithHighProbability) {
   }
   AdversaryObserver observer({0, 1});
   observer.set_last_position(1);
-  world.chain.set_observer(&observer);
 
   auto onions = BuildRoundOnions(world, 1, {0, 1}, rng);
   // Unwrap each onion's first layer ourselves to know the expected inner
@@ -151,7 +150,7 @@ TEST(Adversary, MixingChangesOrderWithHighProbability) {
   // its input order. Sizes are uniform, so compare against a recomputation:
   // run a second identical chain with the same seed but non-mixing, and
   // check the outputs differ in order.
-  auto result = world.chain.RunConversationRound(1, std::move(onions));
+  auto result = testutil::LockStepConversation(world.chain, 1, std::move(onions), &observer);
   (void)result;
   const auto& pass0 = observer.passes()[0];
   // The forwarded batch has the same multiset size; the probability that a
@@ -179,7 +178,7 @@ TEST(Adversary, SampledNoiseBuriesDisconnectionSignal) {
     }
     // Round with Alice (user 0) and Bob (user 1) talking:
     auto onions = BuildRoundOnions(world, 1, {0, 1}, rng);
-    auto with_alice = world.chain.RunConversationRound(1, std::move(onions));
+    auto with_alice = testutil::LockStepConversation(world.chain, 1, std::move(onions));
     // Round where the adversary blocked Alice and Bob: all idle, one fewer
     // user visible.
     std::vector<util::Bytes> idle_onions;
@@ -188,7 +187,8 @@ TEST(Adversary, SampledNoiseBuriesDisconnectionSignal) {
       idle_onions.push_back(
           crypto::OnionWrap(world.chain.public_keys(), 2, request.Serialize(), rng).data);
     }
-    auto without_alice = world.chain.RunConversationRound(2, std::move(idle_onions));
+    auto without_alice =
+        testutil::LockStepConversation(world.chain, 2, std::move(idle_onions));
 
     double w = static_cast<double>(with_alice.histogram.pairs);
     sum_with += w;

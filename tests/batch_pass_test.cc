@@ -33,6 +33,7 @@
 #include "src/transport/hop_wire.h"
 #include "src/util/random.h"
 #include "src/wire/constants.h"
+#include "tests/round_digest.h"
 
 namespace vuvuzela {
 namespace {
@@ -40,6 +41,7 @@ namespace {
 using mixnet::MixServer;
 using mixnet::MixServerConfig;
 using mixnet::ServerRoundStats;
+using testutil::Digest;
 
 constexpr size_t kServers = 3;
 
@@ -143,41 +145,6 @@ void ExpectIdentical(const ConversationTranscript& a, const ConversationTranscri
 }
 
 // --- Golden round digests ------------------------------------------------------
-
-// SHA-256 over a length-prefixed little-endian serialization of pass outputs
-// and stats; any changed, added, dropped or reordered byte changes the hex.
-class Digest {
- public:
-  void Add(uint64_t value) {
-    uint8_t le[8];
-    for (int i = 0; i < 8; ++i) {
-      le[i] = static_cast<uint8_t>(value >> (8 * i));
-    }
-    sha_.Update(le);
-  }
-  void Add(util::ByteSpan bytes) {
-    Add(bytes.size());
-    sha_.Update(bytes);
-  }
-  void Add(const std::vector<util::Bytes>& items) {
-    Add(items.size());
-    for (const auto& item : items) {
-      Add(util::ByteSpan(item));
-    }
-  }
-  void Add(const ServerRoundStats& stats) {
-    Add(stats.requests_in);
-    Add(stats.requests_dropped);
-    Add(stats.noise_requests_added);
-    Add(stats.bytes_in);
-    Add(stats.bytes_out);
-    Add(stats.dh_ops);
-  }
-  std::string Hex() { return util::HexEncode(sha_.Finish()); }
-
- private:
-  crypto::Sha256 sha_;
-};
 
 // Conversation rounds 1..`rounds` of `n` client onions each (round r's batch
 // drawn from seed batch_seed + r - 1): every forward batch, the last hop's

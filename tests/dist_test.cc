@@ -24,6 +24,7 @@
 #include "src/transport/dist_router.h"
 #include "src/transport/hop_chain.h"
 #include "src/util/random.h"
+#include "tests/lock_step.h"
 
 namespace vuvuzela::transport {
 namespace {
@@ -339,7 +340,7 @@ TEST(EngineDistribute, DistributeStagePublishesTableAndCompletesRound) {
   config.distribution = &distributor;
   config.distribution_keep = 2;
   config.lifecycle = &observed;
-  engine::RoundScheduler scheduler(chain, config);
+  engine::RoundScheduler scheduler(testutil::LocalHops(chain), config);
 
   uint64_t round = coord::kDialingRoundBase;
   auto future = scheduler.SubmitDialing(round, DialBatch(chain, round, 8, 5), /*num_drops=*/4);
@@ -379,14 +380,14 @@ TEST(EngineDistribute, PublishedTableByteIdenticalToUndistributedRun) {
   uint64_t round = coord::kDialingRoundBase + 3;
   std::vector<util::Bytes> batch = DialBatch(chain_a, round, 10, 9);
 
-  engine::RoundScheduler plain(chain_a, {.max_in_flight = 1});
+  engine::RoundScheduler plain(testutil::LocalHops(chain_a), {.max_in_flight = 1});
   deaddrop::InvitationTable expect = plain.SubmitDialing(round, batch, 4).get().table;
 
   coord::InvitationDistributor distributor;
   engine::SchedulerConfig config;
   config.max_in_flight = 1;
   config.distribution = &distributor;
-  engine::RoundScheduler distributed(chain_b, config);
+  engine::RoundScheduler distributed(testutil::LocalHops(chain_b), config);
   distributed.SubmitDialing(round, batch, 4).get();
 
   for (uint32_t drop = 0; drop < 4; ++drop) {
@@ -409,7 +410,7 @@ TEST(DistFailure, DeadShardFailsOnlyDialingRoundsAndRejoinsAfterRestart) {
   engine::SchedulerConfig config;
   config.max_in_flight = 2;
   config.distribution = router.get();
-  engine::RoundScheduler scheduler(chain, config);
+  engine::RoundScheduler scheduler(testutil::LocalHops(chain), config);
 
   // Healthy baseline: one dialing round distributes fine.
   uint64_t dial0 = coord::kDialingRoundBase;

@@ -11,6 +11,7 @@
 #include "src/mixnet/chain.h"
 #include "src/sim/workload.h"
 #include "src/util/random.h"
+#include "tests/lock_step.h"
 
 namespace vuvuzela::engine {
 namespace {
@@ -34,8 +35,9 @@ std::vector<util::Bytes> ConversationBatch(const mixnet::Chain& chain, uint64_t 
 TEST(RoundScheduler, RejectsBadConfig) {
   util::Xoshiro256Rng rng(1);
   mixnet::Chain chain = MakeChain(rng);
-  EXPECT_THROW(RoundScheduler(chain, {.max_in_flight = 0}), std::invalid_argument);
-  EXPECT_THROW(RoundScheduler(chain, {.max_in_flight = 8, .expire_keep = 2}),
+  EXPECT_THROW(RoundScheduler(testutil::LocalHops(chain), {.max_in_flight = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(RoundScheduler(testutil::LocalHops(chain), {.max_in_flight = 8, .expire_keep = 2}),
                std::invalid_argument);
 }
 
@@ -49,7 +51,7 @@ TEST(RoundScheduler, ExpiresRoundsAbandonedMidPipeline) {
   chain.server(0).ForwardConversation(1, ConversationBatch(chain, 1, 4, 11));
   ASSERT_EQ(chain.server(0).pending_rounds(), 1u);
 
-  RoundScheduler scheduler(chain, {.max_in_flight = 2, .expire_keep = 3});
+  RoundScheduler scheduler(testutil::LocalHops(chain), {.max_in_flight = 2, .expire_keep = 3});
   std::vector<std::future<mixnet::Chain::ConversationResult>> futures;
   for (uint64_t round = 2; round <= 10; ++round) {
     futures.push_back(
@@ -74,7 +76,7 @@ TEST(RoundScheduler, ExpiryKeepsRecentRoundsAlive) {
   // expire_keep = 8, round 4's state survives rounds 5..10.
   chain.server(0).ForwardConversation(4, ConversationBatch(chain, 4, 4, 21));
 
-  RoundScheduler scheduler(chain, {.max_in_flight = 2, .expire_keep = 8});
+  RoundScheduler scheduler(testutil::LocalHops(chain), {.max_in_flight = 2, .expire_keep = 8});
   std::vector<std::future<mixnet::Chain::ConversationResult>> futures;
   for (uint64_t round = 5; round <= 10; ++round) {
     futures.push_back(
@@ -90,7 +92,7 @@ TEST(RoundScheduler, ExpiryKeepsRecentRoundsAlive) {
 TEST(RoundScheduler, GapInRoundNumbersDoesNotKillInFlightRounds) {
   util::Xoshiro256Rng rng(7);
   mixnet::Chain chain = MakeChain(rng);
-  RoundScheduler scheduler(chain, {.max_in_flight = 3, .expire_keep = 3});
+  RoundScheduler scheduler(testutil::LocalHops(chain), {.max_in_flight = 3, .expire_keep = 3});
 
   // Rounds 1 and 2 are still in flight when round 1000 is admitted; expiry
   // is measured from the oldest live round, so the gap must not expire them.
@@ -109,7 +111,7 @@ TEST(RoundScheduler, GapInRoundNumbersDoesNotKillInFlightRounds) {
 TEST(RoundScheduler, FailedRoundReleasesItsSlot) {
   util::Xoshiro256Rng rng(4);
   mixnet::Chain chain = MakeChain(rng);
-  RoundScheduler scheduler(chain, {.max_in_flight = 2});
+  RoundScheduler scheduler(testutil::LocalHops(chain), {.max_in_flight = 2});
 
   // num_drops = 0 faults at the last hop (InvitationTable rejects it); the
   // failure must surface through the future, count in stats, and free the
@@ -129,7 +131,7 @@ TEST(RoundScheduler, FailedRoundReleasesItsSlot) {
 TEST(RoundScheduler, SingleServerChainCompletesRounds) {
   util::Xoshiro256Rng rng(5);
   mixnet::Chain chain = MakeChain(rng, /*servers=*/1);
-  RoundScheduler scheduler(chain, {.max_in_flight = 3});
+  RoundScheduler scheduler(testutil::LocalHops(chain), {.max_in_flight = 3});
   std::vector<std::future<mixnet::Chain::ConversationResult>> futures;
   for (uint64_t round = 1; round <= 5; ++round) {
     futures.push_back(
@@ -143,34 +145,50 @@ TEST(RoundScheduler, SingleServerChainCompletesRounds) {
   }
 }
 
-TEST(RoundScheduler, RunScheduleInterleavesDialingRounds) {
+TEST(RoundScheduler, ScheduleAnnouncementsInterleaveDialingRounds) {
   util::Xoshiro256Rng rng(6);
   mixnet::Chain chain = MakeChain(rng);
-  RoundScheduler scheduler(chain, {.max_in_flight = 3});
+  RoundScheduler scheduler(testutil::LocalHops(chain), {.max_in_flight = 3});
 
   coord::ScheduleConfig schedule_config;
   schedule_config.conversation_rounds_per_dialing_round = 3;
   schedule_config.dial_dead_drops = 2;
   coord::RoundSchedule schedule(schedule_config);
 
+  // Each announcement's batch goes to the matching Submit*, K in flight.
   dialing::RoundConfig dial_config{.num_real_drops = 1};
-  auto workload = [&](const wire::RoundAnnouncement& announcement) -> std::vector<util::Bytes> {
+  std::vector<std::future<mixnet::Chain::ConversationResult>> conversations;
+  std::vector<std::future<mixnet::Chain::DialingResult>> dialings;
+  for (int i = 0; i < 8; ++i) {
+    wire::RoundAnnouncement announcement = schedule.Next();
     sim::WorkloadConfig config{
         .num_users = 4, .pairing_fraction = 1.0, .seed = announcement.round, .parallel = false};
     if (announcement.type == wire::RoundType::kConversation) {
-      return sim::GenerateConversationWorkload(config, chain.public_keys(), announcement.round);
+      conversations.push_back(scheduler.SubmitConversation(
+          announcement.round,
+          sim::GenerateConversationWorkload(config, chain.public_keys(), announcement.round)));
+    } else {
+      dialings.push_back(scheduler.SubmitDialing(
+          announcement.round,
+          sim::GenerateDialingWorkload(config, chain.public_keys(), announcement.round,
+                                       dial_config, /*dial_fraction=*/0.5),
+          announcement.num_dial_dead_drops));
     }
-    return sim::GenerateDialingWorkload(config, chain.public_keys(), announcement.round,
-                                        dial_config, /*dial_fraction=*/0.5);
-  };
+  }
+  scheduler.Drain();
 
-  auto result = scheduler.RunSchedule(schedule, /*total_rounds=*/8, workload);
   // Every 4th announcement is a dialing round: 8 rounds = 6 conversation + 2
   // dialing.
-  EXPECT_EQ(result.conversation_rounds, 6u);
-  EXPECT_EQ(result.dialing_rounds, 2u);
-  EXPECT_GT(result.messages_exchanged, 0u);
-  EXPECT_GT(result.messages_per_second, 0.0);
+  EXPECT_EQ(conversations.size(), 6u);
+  EXPECT_EQ(dialings.size(), 2u);
+  uint64_t messages_exchanged = 0;
+  for (auto& f : conversations) {
+    messages_exchanged += f.get().messages_exchanged;
+  }
+  for (auto& f : dialings) {
+    EXPECT_EQ(f.get().table.num_drops(), schedule_config.dial_dead_drops);
+  }
+  EXPECT_GT(messages_exchanged, 0u);
   EXPECT_EQ(schedule.conversation_rounds_announced(), 6u);
   EXPECT_EQ(schedule.dialing_rounds_announced(), 2u);
 
@@ -178,6 +196,7 @@ TEST(RoundScheduler, RunScheduleInterleavesDialingRounds) {
   EXPECT_EQ(stats.conversation_rounds_completed, 6u);
   EXPECT_EQ(stats.dialing_rounds_completed, 2u);
   EXPECT_EQ(stats.rounds_failed, 0u);
+  EXPECT_GT(stats.total_conversation_latency_seconds, 0.0);
 }
 
 }  // namespace

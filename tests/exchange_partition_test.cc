@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <future>
 
+#include "src/coord/coordinator.h"
 #include "src/deaddrop/exchange_backend.h"
 #include "src/engine/round_scheduler.h"
 #include "src/sim/workload.h"

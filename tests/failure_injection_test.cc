@@ -18,6 +18,7 @@
 #include "src/transport/coord_daemon.h"
 #include "src/transport/hop_chain.h"
 #include "src/util/random.h"
+#include "tests/lock_step.h"
 
 namespace vuvuzela::mixnet {
 namespace {
@@ -50,7 +51,7 @@ TEST_F(FailureInjectionTest, AllGarbageRoundCompletes) {
   for (int i = 0; i < 10; ++i) {
     onions.push_back(rng_.RandomBytes(416));
   }
-  auto result = chain_.RunConversationRound(1, std::move(onions));
+  auto result = testutil::LockStepConversation(chain_, 1, std::move(onions));
   EXPECT_EQ(result.responses.size(), 10u);
   EXPECT_EQ(result.stats.forward[0].requests_dropped, 10u);
 }
@@ -63,7 +64,7 @@ TEST_F(FailureInjectionTest, ZeroLengthAndOversizedOnions) {
   onions.push_back(rng_.RandomBytes(10));    // far too short
   onions.push_back(rng_.RandomBytes(4096));  // far too long
   onions.push_back(good);
-  auto result = chain_.RunConversationRound(2, std::move(onions));
+  auto result = testutil::LockStepConversation(chain_, 2, std::move(onions));
   ASSERT_EQ(result.responses.size(), 4u);
   // The honest request still echoes back correctly.
   auto keys = crypto::OnionWrap(chain_.public_keys(), 99, util::Bytes(1), rng_);
@@ -75,7 +76,7 @@ TEST_F(FailureInjectionTest, ValidOnionGarbagePayloadDroppedAtLastHop) {
   // not a well-formed ExchangeRequest.
   util::Bytes junk = rng_.RandomBytes(wire::kExchangeRequestSize - 5);
   auto onion = crypto::OnionWrap(chain_.public_keys(), 3, junk, rng_);
-  auto result = chain_.RunConversationRound(3, {onion.data});
+  auto result = testutil::LockStepConversation(chain_, 3, {onion.data});
   EXPECT_EQ(result.stats.forward.back().requests_dropped, 1u);
   EXPECT_EQ(result.responses.size(), 1u);
 }
@@ -90,7 +91,7 @@ TEST_F(FailureInjectionTest, ReplayedOnionWithinRoundHitsSameDropTwice) {
       WrapExchange(4, conversation::BuildExchangeRequest(alice_session, 4, {}));
   auto bob_onion = WrapExchange(4, conversation::BuildExchangeRequest(bob_session, 4, {}));
 
-  auto result = chain_.RunConversationRound(4, {alice_onion, alice_onion, bob_onion});
+  auto result = testutil::LockStepConversation(chain_, 4, {alice_onion, alice_onion, bob_onion});
   EXPECT_EQ(result.responses.size(), 3u);
   EXPECT_EQ(result.histogram.crowded, 1u);  // 3 accesses on one drop
 }
@@ -100,10 +101,10 @@ TEST_F(FailureInjectionTest, ReplayAcrossRoundsRejected) {
   // replayed in round 6 fails at the first hop.
   Session session = Session::Derive(alice_, bob_.public_key);
   auto onion = WrapExchange(5, conversation::BuildExchangeRequest(session, 5, {}));
-  auto result5 = chain_.RunConversationRound(5, {onion});
+  auto result5 = testutil::LockStepConversation(chain_, 5, {onion});
   EXPECT_EQ(result5.stats.forward[0].requests_dropped, 0u);
 
-  auto result6 = chain_.RunConversationRound(6, {onion});
+  auto result6 = testutil::LockStepConversation(chain_, 6, {onion});
   EXPECT_EQ(result6.stats.forward[0].requests_dropped, 1u);
 }
 
@@ -117,7 +118,7 @@ TEST_F(FailureInjectionTest, AdversarialDialIndexesCannotFaultServer) {
     onions.push_back(
         crypto::OnionWrap(chain_.public_keys(), 7, request.Serialize(), rng_).data);
   }
-  auto result = chain_.RunDialingRound(7, std::move(onions), dial_config.total_drops());
+  auto result = testutil::LockStepDialing(chain_, 7, std::move(onions), dial_config.total_drops());
   // All deposits landed (mod total_drops); none crashed the table.
   uint64_t total = 0;
   for (uint64_t size : result.table.DropSizes()) {
@@ -131,7 +132,7 @@ TEST_F(FailureInjectionTest, AdversarialDialIndexesCannotFaultServer) {
 TEST_F(FailureInjectionTest, EmptyRoundStillProducesNoise) {
   // Even with zero clients connected, the servers exchange a full noise
   // round — the cover traffic does not depend on load (§6.4).
-  auto result = chain_.RunConversationRound(8, {});
+  auto result = testutil::LockStepConversation(chain_, 8, {});
   EXPECT_EQ(result.responses.size(), 0u);
   // Each non-last server adds 2 singles + 1 pair = 4 requests.
   EXPECT_EQ(result.stats.forward.back().requests_in, 8u);
@@ -183,7 +184,7 @@ TEST_F(FailureInjectionTest, TamperedResponsesDegradeToGarbage) {
   auto bob_wrapped =
       crypto::OnionWrap(chain_.public_keys(), 10, bob_request.Serialize(), rng_);
 
-  auto result = chain_.RunConversationRound(10, {alice_wrapped.data, bob_wrapped.data});
+  auto result = testutil::LockStepConversation(chain_, 10, {alice_wrapped.data, bob_wrapped.data});
 
   // Untampered: Bob reads Alice's text.
   auto clean = crypto::OnionOpenResponse(bob_wrapped.layer_keys, 10, result.responses[1]);
@@ -215,7 +216,7 @@ TEST(FailureInjectionChains, TwoServerChainToleratesHalfGarbage) {
       onions.push_back(rng.RandomBytes(368));
     }
   }
-  auto result = chain.RunConversationRound(1, std::move(onions));
+  auto result = testutil::LockStepConversation(chain, 1, std::move(onions));
   EXPECT_EQ(result.responses.size(), 8u);
   EXPECT_EQ(result.stats.forward[0].requests_dropped, 4u);
 }

@@ -12,6 +12,7 @@
 #include "src/mixnet/chain.h"
 #include "src/mixnet/shuffler.h"
 #include "src/util/random.h"
+#include "tests/lock_step.h"
 
 namespace vuvuzela::mixnet {
 namespace {
@@ -115,7 +116,7 @@ TEST_P(ChainConversationTest, TwoUsersExchangeThroughChain) {
   crypto::WrappedOnion alice_onion = WrapExchange(chain, round, alice_req, rng);
   crypto::WrappedOnion bob_onion = WrapExchange(chain, round, bob_req, rng);
 
-  auto result = chain.RunConversationRound(round, {alice_onion.data, bob_onion.data});
+  auto result = testutil::LockStepConversation(chain, round, {alice_onion.data, bob_onion.data});
   ASSERT_EQ(result.responses.size(), 2u);
   // Noise pairs exchange with each other and are indistinguishable from real
   // pairs at the last server — exactly how noise masks m2 (§4.2). With µ=4
@@ -156,7 +157,7 @@ TEST(Chain, IdleUserGetsEcho) {
   uint64_t round = 1;
   auto fake = conversation::BuildFakeExchangeRequest(charlie, round, rng);
   crypto::WrappedOnion onion = WrapExchange(chain, round, fake, rng);
-  auto result = chain.RunConversationRound(round, {onion.data});
+  auto result = testutil::LockStepConversation(chain, round, {onion.data});
 
   auto resp = crypto::OnionOpenResponse(onion.layer_keys, round, result.responses[0]);
   ASSERT_TRUE(resp.has_value());
@@ -179,7 +180,7 @@ TEST(Chain, UnmatchedRealRequestEchoes) {
   uint64_t round = 3;
   auto req = conversation::BuildExchangeRequest(session, round, {});
   crypto::WrappedOnion onion = WrapExchange(chain, round, req, rng);
-  auto result = chain.RunConversationRound(round, {onion.data});
+  auto result = testutil::LockStepConversation(chain, round, {onion.data});
 
   auto resp = crypto::OnionOpenResponse(onion.layer_keys, round, result.responses[0]);
   ASSERT_TRUE(resp.has_value());
@@ -200,7 +201,7 @@ TEST(Chain, MalformedOnionGetsGarbageResponseOfRightSize) {
   crypto::WrappedOnion good = WrapExchange(chain, round, fake, rng);
   util::Bytes garbage = rng.RandomBytes(good.data.size());
 
-  auto result = chain.RunConversationRound(round, {good.data, garbage});
+  auto result = testutil::LockStepConversation(chain, round, {good.data, garbage});
   ASSERT_EQ(result.responses.size(), 2u);
   EXPECT_EQ(result.responses[0].size(), result.responses[1].size());
   EXPECT_EQ(result.stats.forward[0].requests_dropped, 1u);
@@ -217,7 +218,7 @@ TEST(Chain, NoiseCountsFollowConfig) {
   auto alice = crypto::X25519KeyPair::Generate(rng);
   auto fake = conversation::BuildFakeExchangeRequest(alice, round, rng);
   crypto::WrappedOnion onion = WrapExchange(chain, round, fake, rng);
-  auto result = chain.RunConversationRound(round, {onion.data});
+  auto result = testutil::LockStepConversation(chain, round, {onion.data});
 
   // µ=10 deterministic → each non-last server adds 10 singles + 5 pairs = 20.
   EXPECT_EQ(result.stats.forward[0].noise_requests_added, 20u);
@@ -241,7 +242,7 @@ TEST(Chain, ResponsesSizedByChainLength) {
 
     EXPECT_EQ(onion.data.size(),
               crypto::OnionRequestSize(wire::kExchangeRequestSize, n));
-    auto result = chain.RunConversationRound(round, {onion.data});
+    auto result = testutil::LockStepConversation(chain, round, {onion.data});
     EXPECT_EQ(result.responses[0].size(), crypto::OnionResponseSize(wire::kEnvelopeSize, n));
   }
 }
@@ -254,7 +255,7 @@ TEST(Chain, DhOpsAccounting) {
   auto kp = crypto::X25519KeyPair::Generate(rng);
   auto fake = conversation::BuildFakeExchangeRequest(kp, round, rng);
   crypto::WrappedOnion onion = WrapExchange(chain, round, fake, rng);
-  auto result = chain.RunConversationRound(round, {onion.data});
+  auto result = testutil::LockStepConversation(chain, round, {onion.data});
 
   // Server 0: 1 unwrap + 8 noise × 2 remaining layers = 17.
   EXPECT_EQ(result.stats.forward[0].dh_ops, 1 + 8 * 2u);
@@ -278,7 +279,7 @@ TEST(Chain, DialingRoundDepositsInvitation) {
   crypto::WrappedOnion onion =
       crypto::OnionWrap(chain.public_keys(), round, dial.Serialize(), rng);
 
-  auto result = chain.RunDialingRound(round, {onion.data}, dial_config.total_drops());
+  auto result = testutil::LockStepDialing(chain, round, {onion.data}, dial_config.total_drops());
 
   uint32_t bob_drop = dialing::DropForRecipient(dial_config, bob.public_key);
   auto callers = dialing::ScanInvitations(bob, result.table.Drop(bob_drop));
@@ -328,7 +329,7 @@ TEST(Chain, ParallelMatchesSerialSemantics) {
   crypto::WrappedOnion a_onion = WrapExchange(chain, round, a_req, rng);
   crypto::WrappedOnion b_onion = WrapExchange(chain, round, b_req, rng);
 
-  auto result = chain.RunConversationRound(round, {a_onion.data, b_onion.data});
+  auto result = testutil::LockStepConversation(chain, round, {a_onion.data, b_onion.data});
   auto resp = crypto::OnionOpenResponse(a_onion.layer_keys, round, result.responses[0]);
   ASSERT_TRUE(resp.has_value());
   wire::Envelope env;

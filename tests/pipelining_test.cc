@@ -10,11 +10,13 @@
 #include <mutex>
 
 #include "src/conversation/protocol.h"
+#include "src/coord/coordinator.h"
 #include "src/crypto/onion.h"
 #include "src/dialing/protocol.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
 #include "src/util/random.h"
+#include "tests/lock_step.h"
 
 namespace vuvuzela::mixnet {
 namespace {
@@ -104,8 +106,8 @@ TEST_F(PipeliningTest, ThreeRoundsInFlightAtServerLevel) {
 TEST_F(PipeliningTest, ManySequentialRoundsNoStateLeak) {
   for (uint64_t round = 1; round <= 12; ++round) {
     PreparedRound prep = Prepare(round);
-    auto result = chain_->RunConversationRound(
-        round, {prep.alice_onion.data, prep.bob_onion.data});
+    auto result = testutil::LockStepConversation(
+        *chain_, round, {prep.alice_onion.data, prep.bob_onion.data});
     CheckDelivery(prep, result.responses);
   }
   EXPECT_EQ(chain_->server(0).pending_rounds(), 0u);
@@ -173,8 +175,7 @@ class GateObserver : public ChainObserver {
 
 TEST_F(PipeliningTest, SchedulerKeepsKRoundsInFlight) {
   GateObserver gate;
-  chain_->set_observer(&gate);
-  engine::RoundScheduler scheduler(*chain_, {.max_in_flight = 3});
+  engine::RoundScheduler scheduler(testutil::LocalHops(*chain_, &gate), {.max_in_flight = 3});
 
   std::vector<PreparedRound> preps;
   std::vector<std::future<Chain::ConversationResult>> futures;
@@ -189,7 +190,6 @@ TEST_F(PipeliningTest, SchedulerKeepsKRoundsInFlight) {
 
   gate.Release(100);
   scheduler.Drain();
-  chain_->set_observer(nullptr);
 
   EXPECT_EQ(scheduler.stats().max_observed_in_flight, 3u);
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -201,7 +201,7 @@ TEST_F(PipeliningTest, SchedulerKeepsKRoundsInFlight) {
 }
 
 TEST_F(PipeliningTest, SchedulerPreservesPerRoundIsolationAcrossManyRounds) {
-  engine::RoundScheduler scheduler(*chain_, {.max_in_flight = 4});
+  engine::RoundScheduler scheduler(testutil::LocalHops(*chain_), {.max_in_flight = 4});
   std::vector<PreparedRound> preps;
   std::vector<std::future<Chain::ConversationResult>> futures;
   for (uint64_t round = 1; round <= 16; ++round) {
@@ -223,7 +223,7 @@ TEST_F(PipeliningTest, SchedulerPreservesPerRoundIsolationAcrossManyRounds) {
 }
 
 TEST_F(PipeliningTest, SchedulerInterleavesDialingWithConversations) {
-  engine::RoundScheduler scheduler(*chain_, {.max_in_flight = 3});
+  engine::RoundScheduler scheduler(testutil::LocalHops(*chain_), {.max_in_flight = 3});
 
   PreparedRound conv = Prepare(7);
   auto conv_future = scheduler.SubmitConversation(

@@ -9,10 +9,12 @@
 #include <vector>
 
 #include "src/conversation/protocol.h"
+#include "src/coord/coordinator.h"
 #include "src/engine/round_lifecycle.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
 #include "src/util/random.h"
+#include "tests/lock_step.h"
 
 namespace vuvuzela::engine {
 namespace {
@@ -137,7 +139,7 @@ TEST(RoundLifecycle, SchedulerDrivesPhasesInOrder) {
     SchedulerConfig scheduler_config;
     scheduler_config.max_in_flight = 3;
     scheduler_config.lifecycle = &lifecycle;
-    RoundScheduler scheduler(chain, scheduler_config);
+    RoundScheduler scheduler(testutil::LocalHops(chain), scheduler_config);
     for (uint64_t round = 1; round <= 5; ++round) {
       auto request = conversation::BuildFakeExchangeRequest(user, round, rng);
       scheduler.SubmitConversation(

@@ -10,6 +10,7 @@
 #include "src/sim/cost_model.h"
 #include "src/sim/deployment.h"
 #include "src/sim/workload.h"
+#include "tests/lock_step.h"
 
 namespace vuvuzela::sim {
 namespace {
@@ -66,7 +67,7 @@ TEST(Workload, PairedUsersShareDeadDrops) {
 
   WorkloadConfig config{.num_users = 40, .pairing_fraction = 1.0, .seed = 13, .parallel = false};
   auto onions = GenerateConversationWorkload(config, chain.public_keys(), 1);
-  auto result = chain.RunConversationRound(1, std::move(onions));
+  auto result = testutil::LockStepConversation(chain, 1, std::move(onions));
   EXPECT_EQ(result.histogram.pairs, 20u);
   EXPECT_EQ(result.histogram.singles, 0u);
   EXPECT_EQ(result.messages_exchanged, 40u);
@@ -82,7 +83,7 @@ TEST(Workload, IdleUsersGetUniqueDrops) {
 
   WorkloadConfig config{.num_users = 50, .pairing_fraction = 0.0, .seed = 17, .parallel = false};
   auto onions = GenerateConversationWorkload(config, chain.public_keys(), 1);
-  auto result = chain.RunConversationRound(1, std::move(onions));
+  auto result = testutil::LockStepConversation(chain, 1, std::move(onions));
   EXPECT_EQ(result.histogram.singles, 50u);
   EXPECT_EQ(result.histogram.pairs, 0u);
 }
@@ -99,7 +100,7 @@ TEST(Workload, DialingFractionRespected) {
   WorkloadConfig config{.num_users = 100, .pairing_fraction = 1.0, .seed = 19,
                         .parallel = false};
   auto onions = GenerateDialingWorkload(config, chain.public_keys(), 1, dial_config, 0.25);
-  auto result = chain.RunDialingRound(1, std::move(onions), dial_config.total_drops());
+  auto result = testutil::LockStepDialing(chain, 1, std::move(onions), dial_config.total_drops());
 
   auto sizes = result.table.DropSizes();
   uint64_t real = 0;

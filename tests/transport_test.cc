@@ -7,6 +7,7 @@
 #include <future>
 #include <thread>
 
+#include "src/coord/coordinator.h"
 #include "src/engine/round_scheduler.h"
 #include "src/sim/workload.h"
 #include "src/transport/coord_daemon.h"
